@@ -1,5 +1,5 @@
-//! Throughput benchmark: scalar vs batched vs morsel-parallel execution,
-//! queries/sec per worker count, against one shared engine.
+//! Throughput benchmark: scalar vs batched execution, queries/sec per
+//! worker count, against one shared engine.
 //!
 //! ```sh
 //! cargo run --release -p vamana-bench --bin throughput \
@@ -24,41 +24,34 @@
 //! stands up `S` shards × `R` streaming replicas behind a
 //! `vamana-router` front tier, compares aggregate QPS against one
 //! single-node server holding every document (both scatter-gather and
-//! doc-targeted traffic), then measures event-core vs. threaded-core
-//! connection scaling — hundreds of idle connections plus ≥64 active
-//! clients, with process thread counts recorded (`BENCH_9.json`).
+//! doc-targeted traffic), then measures the event core's connection
+//! scaling — hundreds of idle connections plus ≥64 active clients, with
+//! process thread counts recorded (`BENCH_9.json`).
 //!
 //! `--mixed PCT` runs the read/write benchmark instead: reader threads
 //! measure per-query latency in two windows — alone, then sharing the
 //! engine with one writer duty-cycled to `PCT`% of operations — and the
 //! report (`BENCH_5.json`) compares reader p50/p99 across the two plus
-//! the writer's time at the epoch gate.
+//! the writer's wait for the engine write lock.
 //!
-//! Two query suites run in three execution modes over the same build and
+//! Two query suites run in two execution modes over the same build and
 //! the same loaded document:
 //!
 //! - `scan`: structural XMark scans ([`SCAN_QUERIES`]) — wildcard and
 //!   kind tests whose steps walk clustered MASS pages; these are the
-//!   shapes the batched pipeline amortizes page pins on and the parallel
-//!   scan splits into morsels.
+//!   shapes the batched pipeline amortizes page pins on.
 //! - `eval`: the paper's evaluation mix (Q1–Q5), mostly index-only; it
-//!   bounds how much batching/parallelism can help non-scan work (named
-//!   steps never fan out).
+//!   bounds how much batching can help non-scan work.
 //!
-//! Modes differ in where the configured worker count `w` goes:
+//! In both modes (`scalar`, `batched`) the configured worker count `w`
+//! is the number of *driver* threads (inter-query concurrency), each
+//! draining serial streams.
 //!
-//! - `scalar` / `batched`: `w` *driver* threads (inter-query
-//!   concurrency), each draining serial streams.
-//! - `parallel`: **one** driver thread over a `w`-wide scan pool
-//!   (intra-query parallelism) — so `parallel` at `w` vs `batched` at 1
-//!   isolates what morsel-parallel scans buy a single query stream.
-//!
-//! Plans are compiled and optimized once per query before measurement
-//! (the optimizer records the parallel fan-out choice on the plan, as the
-//! serving layer's plan cache would); each run drains the result stream,
-//! so the measured work is executor cost, not parsing or optimization.
-//! Results go to stdout as a table and to `BENCH_3.json` (override with
-//! `--out`) as machine-readable JSON.
+//! Plans are compiled and optimized once per query before measurement,
+//! as the serving layer's plan cache would; each run drains the result
+//! stream, so the measured work is executor cost, not parsing or
+//! optimization. Results go to stdout as a table and to
+//! `throughput.json` (override with `--out`) as machine-readable JSON.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -94,8 +87,8 @@ struct Args {
     /// `Some((shards, replicas_per_shard))`: run the sharded front-tier
     /// benchmark instead — aggregate QPS through a router over
     /// `shards`×`replicas` backends vs. one single-node server holding
-    /// every document, plus the event-core vs. threaded-core connection
-    /// scaling comparison (`BENCH_9.json`).
+    /// every document, plus the event core's connection scaling
+    /// (`BENCH_9.json`).
     router: Option<(usize, usize)>,
 }
 
@@ -192,11 +185,8 @@ fn parse_args() -> Args {
 struct Sample {
     suite: &'static str,
     mode: &'static str,
-    /// The configured concurrency knob: driver threads for
-    /// `scalar`/`batched`, scan-pool width for `parallel`.
+    /// Driver threads issuing queries.
     workers: usize,
-    /// Driver threads actually issuing queries.
-    drivers: usize,
     queries: u64,
     rows: u64,
     elapsed: Duration,
@@ -205,16 +195,6 @@ struct Sample {
 impl Sample {
     fn qps(&self) -> f64 {
         self.queries as f64 / self.elapsed.as_secs_f64()
-    }
-}
-
-/// `(driver threads, batched, parallel)` per mode at worker count `w`.
-fn mode_setup(mode: &str, w: usize) -> (usize, bool, bool) {
-    match mode {
-        "scalar" => (w, false, false),
-        "batched" => (w, true, false),
-        "parallel" => (1, true, true),
-        other => unreachable!("unknown mode {other}"),
     }
 }
 
@@ -242,11 +222,7 @@ fn main() {
     let xml = vamana_bench::document(args.megabytes);
     let mut store = MassStore::open_memory();
     store.load_xml("auction", &xml).expect("load xmark");
-    let mut base = Engine::new(store);
-    // Compile-time worker view: the optimizer's degree is capped by the
-    // pool width at execution, so record the widest configuration.
-    base.options_mut().parallel_workers = max_workers;
-    let engine = Arc::new(SharedEngine::new(base));
+    let engine = Arc::new(SharedEngine::new(Engine::new(store)));
 
     let suites: [(&str, &[(&str, &str)]); 2] = [("scan", SCAN_QUERIES), ("eval", QUERIES)];
 
@@ -284,64 +260,44 @@ fn main() {
             let plan = guard.optimize_plan(plan, DocId(0)).expect(name).plan;
             let rows = guard.execute_plan(&plan, DocId(0)).expect(name).len();
             assert!(rows > 0, "{name} ({xpath}) returned no rows");
-            let par = match plan.parallel() {
-                Some(c) => format!("parallel degree {} (~{} rows)", c.degree, c.estimated),
-                None => "serial".to_string(),
-            };
-            eprintln!("  {name}: {rows} row(s), {par}");
+            eprintln!("  {name}: {rows} row(s)");
             compiled.push(plan);
         }
         plans.push((suite, compiled));
     }
 
     println!(
-        "{:>6} {:>9} {:>8} {:>8} {:>12} {:>14} {:>12}",
-        "suite", "mode", "workers", "drivers", "queries", "queries/sec", "speedup"
+        "{:>6} {:>9} {:>8} {:>12} {:>14} {:>12}",
+        "suite", "mode", "workers", "queries", "queries/sec", "speedup"
     );
     let mut samples: Vec<Sample> = Vec::new();
     for (suite, compiled) in &plans {
         for &workers in &args.workers {
-            for mode in ["scalar", "batched", "parallel"] {
-                let (drivers, batched, parallel) = mode_setup(mode, workers);
-                {
-                    let mut guard = engine.write();
-                    let opts = guard.options_mut();
-                    opts.batched = batched;
-                    opts.parallel = parallel;
-                    opts.parallel_workers = if parallel { workers } else { max_workers };
-                }
+            for (mode, batched) in [("scalar", false), ("batched", true)] {
+                engine.write().options_mut().batched = batched;
                 let sample = run_window(
                     &engine,
                     compiled,
                     suite,
                     mode,
                     workers,
-                    drivers,
                     batched,
                     args.window,
                 );
+                // batched vs scalar at the same driver count.
                 let speedup = match mode {
-                    // batched vs scalar at the same driver count.
                     "batched" => samples
                         .iter()
                         .rfind(|s| s.suite == *suite && s.mode == "scalar" && s.workers == workers)
                         .map(|s| format!("{:.2}x", sample.qps() / s.qps()))
                         .unwrap_or_default(),
-                    // parallel (one driver, w-wide pool) vs one serial-
-                    // batched driver.
-                    "parallel" => samples
-                        .iter()
-                        .find(|s| s.suite == *suite && s.mode == "batched" && s.drivers == 1)
-                        .map(|s| format!("{:.2}x", sample.qps() / s.qps()))
-                        .unwrap_or_default(),
                     _ => "-".to_string(),
                 };
                 println!(
-                    "{:>6} {:>9} {:>8} {:>8} {:>12} {:>14.1} {:>12}",
+                    "{:>6} {:>9} {:>8} {:>12} {:>14.1} {:>12}",
                     suite,
                     mode,
                     workers,
-                    drivers,
                     sample.queries,
                     sample.qps(),
                     speedup
@@ -350,15 +306,10 @@ fn main() {
             }
         }
     }
-    {
-        let mut guard = engine.write();
-        let opts = guard.options_mut();
-        opts.batched = true;
-        opts.parallel = true;
-    }
+    engine.write().options_mut().batched = true;
 
     let json = render_json(&args, &suites, &samples);
-    let out = args.out.as_deref().unwrap_or("BENCH_3.json");
+    let out = args.out.as_deref().unwrap_or("throughput.json");
     std::fs::write(out, &json).expect("write json");
     eprintln!("wrote {out}");
 }
@@ -396,16 +347,11 @@ impl MixedPhase {
 /// window with one writer thread issuing `apply_update` insert/delete
 /// pairs, duty-cycled so writes stay at `write_pct`% of completed
 /// operations. The report compares reader p50/p99 across phases and
-/// records how long the writer spent at the epoch gate.
+/// records how long the writer waited for the engine write lock.
 fn run_mixed(args: &Args, engine: &Arc<SharedEngine>, readers: usize, write_pct: u32) {
-    // Mixed mode measures the serving configuration: batched execution,
-    // serial per query (inter-query concurrency comes from the readers).
-    {
-        let mut guard = engine.write();
-        let opts = guard.options_mut();
-        opts.batched = true;
-        opts.parallel = false;
-    }
+    // Mixed mode measures the serving configuration: batched execution
+    // (inter-query concurrency comes from the readers).
+    engine.write().options_mut().batched = true;
     let plans: Vec<QueryPlan> = SCAN_QUERIES
         .iter()
         .map(|(name, xpath)| {
@@ -487,7 +433,7 @@ fn run_mixed_window(
     let stop = Arc::new(AtomicBool::new(false));
     let reads = Arc::new(AtomicU64::new(0));
     let writes = Arc::new(AtomicU64::new(0));
-    let wait_before = engine.read().writer_wait_total();
+    let wait_before = engine.writer_wait_total();
     let start = Instant::now();
     let mut latencies: Vec<u64> = Vec::new();
     std::thread::scope(|scope| {
@@ -544,16 +490,13 @@ fn run_mixed_window(
                         continue;
                     }
                     let op = if inserted { &delete } else { &insert };
-                    engine.write().apply_update(DocId(0), op).expect("update");
+                    engine.apply_update(DocId(0), op).expect("update");
                     inserted = !inserted;
                     writes.fetch_add(1, Ordering::Relaxed);
                 }
                 // Leave the document as found.
                 if inserted {
-                    engine
-                        .write()
-                        .apply_update(DocId(0), &delete)
-                        .expect("cleanup");
+                    engine.apply_update(DocId(0), &delete).expect("cleanup");
                 }
             });
         }
@@ -564,7 +507,7 @@ fn run_mixed_window(
         }
     });
     latencies.sort_unstable();
-    let wait_after = engine.read().writer_wait_total();
+    let wait_after = engine.writer_wait_total();
     MixedPhase {
         reads: reads.load(Ordering::Relaxed),
         writes: writes.load(Ordering::Relaxed),
@@ -882,7 +825,6 @@ fn run_fused(args: &Args, which: &str) {
                     "scan",
                     "batched",
                     drivers,
-                    drivers,
                     true,
                     args.window,
                 );
@@ -977,15 +919,14 @@ fn run_fused(args: &Args, which: &str) {
     eprintln!("wrote {path}");
 }
 
-/// Runs the suite's query mix from `drivers` threads for `window`.
-#[allow(clippy::too_many_arguments)]
+/// Runs the suite's query mix from `workers` driver threads for
+/// `window`.
 fn run_window(
     engine: &Arc<SharedEngine>,
     plans: &[QueryPlan],
     suite: &'static str,
     mode: &'static str,
     workers: usize,
-    drivers: usize,
     batched: bool,
     window: Duration,
 ) -> Sample {
@@ -994,7 +935,7 @@ fn run_window(
     let rows = Arc::new(AtomicU64::new(0));
     let start = Instant::now();
     std::thread::scope(|scope| {
-        for t in 0..drivers.max(1) {
+        for t in 0..workers.max(1) {
             let engine = Arc::clone(engine);
             let stop = Arc::clone(&stop);
             let queries = Arc::clone(&queries);
@@ -1035,7 +976,6 @@ fn run_window(
         suite,
         mode,
         workers,
-        drivers,
         queries: queries.load(Ordering::Relaxed),
         rows: rows.load(Ordering::Relaxed),
         elapsed: start.elapsed(),
@@ -1047,9 +987,7 @@ fn run_window(
 /// worker count.
 fn render_json(args: &Args, suites: &[(&str, &[(&str, &str)]); 2], samples: &[Sample]) -> String {
     let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"throughput_scalar_batched_parallel\",\n");
-    // Intra-query speedup is bounded by physical cores: on a 1-CPU host
-    // the parallel mode can only show overhead, so record the hardware.
+    out.push_str("  \"bench\": \"throughput_scalar_batched\",\n");
     out.push_str(&format!(
         "  \"host_cpus\": {},\n",
         std::thread::available_parallelism()
@@ -1072,11 +1010,10 @@ fn render_json(args: &Args, suites: &[(&str, &[(&str, &str)]); 2], samples: &[Sa
     out.push_str("  \"results\": [\n");
     for (i, s) in samples.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"suite\": \"{}\", \"mode\": \"{}\", \"workers\": {}, \"drivers\": {}, \"queries\": {}, \"rows\": {}, \"elapsed_ms\": {:.1}, \"qps\": {:.1}}}{}\n",
+            "    {{\"suite\": \"{}\", \"mode\": \"{}\", \"workers\": {}, \"queries\": {}, \"rows\": {}, \"elapsed_ms\": {:.1}, \"qps\": {:.1}}}{}\n",
             s.suite,
             s.mode,
             s.workers,
-            s.drivers,
             s.queries,
             s.rows,
             s.elapsed.as_secs_f64() * 1e3,
@@ -1097,27 +1034,6 @@ fn render_json(args: &Args, suites: &[(&str, &[(&str, &str)]); 2], samples: &[Sa
         for &w in &args.workers {
             if let (Some(b), Some(s)) = (find(suite, "batched", w), find(suite, "scalar", w)) {
                 pairs.push(format!("\"{w}\": {:.2}", b.qps() / s.qps()));
-            }
-        }
-        out.push_str(&format!("    \"{suite}\": {{{}}}", pairs.join(", ")));
-        out.push_str(if i + 1 < suite_names.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    out.push_str("  },\n");
-    // parallel at pool width w (one driver) vs one serial-batched driver:
-    // the intra-query speedup of morsel-parallel scans.
-    out.push_str("  \"speedup_parallel_over_batched\": {\n");
-    for (i, suite) in suite_names.iter().enumerate() {
-        let baseline = samples
-            .iter()
-            .find(|s| s.suite == *suite && s.mode == "batched" && s.drivers == 1);
-        let mut pairs = Vec::new();
-        for &w in &args.workers {
-            if let (Some(p), Some(b)) = (find(suite, "parallel", w), baseline) {
-                pairs.push(format!("\"{w}\": {:.2}", p.qps() / b.qps()));
             }
         }
         out.push_str(&format!("    \"{suite}\": {{{}}}", pairs.join(", ")));
@@ -1379,7 +1295,7 @@ fn run_replicas(args: &Args, max_replicas: usize) {
 const ROUTER_READERS: usize = 8;
 
 /// Idle connections opened in the connection-scaling phase — far more
-/// than the threaded core can hold without one OS thread apiece.
+/// than a thread-per-connection design could hold cheaply.
 const IDLE_CONNS: usize = 256;
 
 /// Active clients during the connection-scaling measurement window.
@@ -1399,9 +1315,8 @@ impl RouterWindow {
     }
 }
 
-/// One core's connection-scaling result.
+/// The event core's connection-scaling result.
 struct ScalingSample {
-    core: &'static str,
     threads_before: u64,
     threads_after: u64,
     reads: u64,
@@ -1475,17 +1390,16 @@ fn wire_window(
 /// shard and merged) and once with doc-targeted traffic (`QUERY DOC`,
 /// routed to the owner and load-balanced over its fresh replicas).
 ///
-/// A second phase measures what the event core is for: each core
-/// accepts [`IDLE_CONNS`] idle connections (recording the process
-/// thread-count delta — one thread apiece for the threaded core, none
-/// for the event core), then serves [`ACTIVE_CLIENTS`] concurrent
-/// query streams. Results go to `BENCH_9.json` (override with `--out`).
+/// A second phase measures what the event core is for: it accepts
+/// [`IDLE_CONNS`] idle connections (recording the process thread-count
+/// delta, which should be zero), then serves [`ACTIVE_CLIENTS`]
+/// concurrent query streams. Results go to `BENCH_9.json` (override with `--out`).
 fn run_router(args: &Args, shards: usize, replicas: usize) {
     use vamana_mass::FsyncPolicy;
     use vamana_replica::{Replica, ReplicaConfig};
     use vamana_router::{Router, RouterConfig};
     use vamana_server::testkit::{lag_value, Client};
-    use vamana_server::{CoreMode, Server, ServerConfig};
+    use vamana_server::{Server, ServerConfig};
 
     eprintln!("generating ~{} MB of XMark data…", args.megabytes);
     let xml = vamana_bench::document(args.megabytes);
@@ -1647,63 +1561,52 @@ fn run_router(args: &Args, shards: usize, replicas: usize) {
     }
     single.stop();
 
-    // Connection scaling: the same protocol served by each core. Idle
-    // connections are opened (and proven live with a PING) before the
-    // thread count is sampled; the active window then runs with all of
-    // them still parked.
+    // Connection scaling. Idle connections are opened (and proven live
+    // with a PING) before the thread count is sampled; the active window
+    // then runs with all of them still parked.
     let light = format!("QUERY {}", SCAN_QUERIES[0].1);
-    println!(
-        "{:>10} {:>10} {:>14} {:>13} {:>10} {:>13}",
-        "core", "idle_conns", "threads_before", "threads_after", "active", "reads/sec"
+    let mut store = MassStore::open_memory();
+    store.load_xml("auction", &xml).expect("load scaling");
+    let server = Server::bind("127.0.0.1:0", Engine::new(store), ServerConfig::default())
+        .expect("bind scaling")
+        .spawn()
+        .expect("spawn scaling");
+    let threads_before = process_threads();
+    let idle: Vec<Client> = (0..IDLE_CONNS)
+        .map(|_| {
+            let mut client = Client::connect(&server);
+            let reply = client.round_trip("PING");
+            assert!(reply[0].starts_with("OK"), "{reply:?}");
+            client
+        })
+        .collect();
+    let threads_after = process_threads();
+    let (reads, elapsed) = wire_window(
+        server.addr(),
+        std::slice::from_ref(&light),
+        ACTIVE_CLIENTS,
+        args.window,
     );
-    let mut scaling: Vec<ScalingSample> = Vec::new();
-    for (core_name, core) in [("event", CoreMode::Event), ("threaded", CoreMode::Threaded)] {
-        let mut store = MassStore::open_memory();
-        store.load_xml("auction", &xml).expect("load scaling");
-        let config = ServerConfig {
-            core,
-            ..ServerConfig::default()
-        };
-        let server = Server::bind("127.0.0.1:0", Engine::new(store), config)
-            .expect("bind scaling")
-            .spawn()
-            .expect("spawn scaling");
-        let threads_before = process_threads();
-        let _idle: Vec<Client> = (0..IDLE_CONNS)
-            .map(|_| {
-                let mut client = Client::connect(&server);
-                let reply = client.round_trip("PING");
-                assert!(reply[0].starts_with("OK"), "{reply:?}");
-                client
-            })
-            .collect();
-        let threads_after = process_threads();
-        let (reads, elapsed) = wire_window(
-            server.addr(),
-            std::slice::from_ref(&light),
-            ACTIVE_CLIENTS,
-            args.window,
-        );
-        let sample = ScalingSample {
-            core: core_name,
-            threads_before,
-            threads_after,
-            reads,
-            elapsed,
-        };
-        println!(
-            "{:>10} {:>10} {:>14} {:>13} {:>10} {:>13.1}",
-            sample.core,
-            IDLE_CONNS,
-            sample.threads_before,
-            sample.threads_after,
-            ACTIVE_CLIENTS,
-            sample.qps()
-        );
-        scaling.push(sample);
-        drop(_idle);
-        server.stop();
-    }
+    let scaling = ScalingSample {
+        threads_before,
+        threads_after,
+        reads,
+        elapsed,
+    };
+    println!(
+        "{:>10} {:>14} {:>13} {:>10} {:>13}",
+        "idle_conns", "threads_before", "threads_after", "active", "reads/sec"
+    );
+    println!(
+        "{:>10} {:>14} {:>13} {:>10} {:>13.1}",
+        IDLE_CONNS,
+        scaling.threads_before,
+        scaling.threads_after,
+        ACTIVE_CLIENTS,
+        scaling.qps()
+    );
+    drop(idle);
+    server.stop();
     let _ = std::fs::remove_dir_all(&dir);
 
     let find = |tier: &str, traffic: &str| {
@@ -1753,18 +1656,14 @@ fn run_router(args: &Args, shards: usize, replicas: usize) {
         "    \"idle_connections\": {IDLE_CONNS},\n    \"active_clients\": {ACTIVE_CLIENTS},\n"
     ));
     out.push_str("    \"cores\": {\n");
-    for (i, s) in scaling.iter().enumerate() {
-        out.push_str(&format!(
-            "      \"{}\": {{\"threads_before\": {}, \"threads_after\": {}, \"threads_added\": {}, \"reads\": {}, \"qps_at_active_clients\": {:.1}}}{}\n",
-            s.core,
-            s.threads_before,
-            s.threads_after,
-            s.threads_after.saturating_sub(s.threads_before),
-            s.reads,
-            s.qps(),
-            if i + 1 < scaling.len() { "," } else { "" }
-        ));
-    }
+    out.push_str(&format!(
+        "      \"event\": {{\"threads_before\": {}, \"threads_after\": {}, \"threads_added\": {}, \"reads\": {}, \"qps_at_active_clients\": {:.1}}}\n",
+        scaling.threads_before,
+        scaling.threads_after,
+        scaling.threads_after.saturating_sub(scaling.threads_before),
+        scaling.reads,
+        scaling.qps(),
+    ));
     out.push_str("    }\n  }\n}\n");
     let path = args.out.as_deref().unwrap_or("BENCH_9.json");
     std::fs::write(path, &out).expect("write json");

@@ -312,8 +312,8 @@ impl Session {
         let p = &analysis.profile;
         let _ = write!(
             out,
-            "profile: {:.2?}, {} hit(s) / {} miss(es), {} batch pin(s), {} morsel(s)",
-            p.elapsed, p.buffer_hits, p.buffer_misses, p.batch_pins, p.morsels
+            "profile: {:.2?}, {} hit(s) / {} miss(es), {} batch pin(s)",
+            p.elapsed, p.buffer_hits, p.buffer_misses, p.batch_pins
         );
         Ok(out)
     }
@@ -349,10 +349,9 @@ impl Session {
     fn cmd_stats(&self) -> String {
         let engine = self.engine.read();
         let s = engine.store().stats();
-        let p = engine.parallel_stats();
         let (fused_chains, fused_steps) = engine.fused_stats();
         format!(
-            "documents: {}\ntuples:    {}\npages:     {} ({:.1} tuples/page)\nnames:     {}\nvalues:    {}\nstorage:   format {} / {} compressed + {} uncompressed pages / {} dict entries\n           {} bytes on disk ({:.2}x compression, {:.1} bytes/tuple)\ndecodes:   {} v1 / {} v2 / {} format fallbacks\nbuffer:    {} hits / {} misses / {} evictions ({:.1}% hit ratio)\nbatched:   {} batch pins / {} pins saved\nparallel:  {} workers / {} morsels / {} batches / {} merge stalls\nfused:     {} chain(s) / {} steps collapsed",
+            "documents: {}\ntuples:    {}\npages:     {} ({:.1} tuples/page)\nnames:     {}\nvalues:    {}\nstorage:   format {} / {} compressed + {} uncompressed pages / {} dict entries\n           {} bytes on disk ({:.2}x compression, {:.1} bytes/tuple)\ndecodes:   {} v1 / {} v2 / {} format fallbacks\nbuffer:    {} hits / {} misses / {} evictions ({:.1}% hit ratio)\nbatched:   {} batch pins / {} pins saved\nfused:     {} chain(s) / {} steps collapsed",
             s.documents,
             s.tuples,
             s.pages,
@@ -375,10 +374,6 @@ impl Session {
             s.buffer.hit_ratio() * 100.0,
             s.buffer.batch_pins,
             s.buffer.pins_saved,
-            p.workers,
-            p.morsels,
-            p.worker_batches,
-            p.merge_stalls,
             fused_chains,
             fused_steps
         )
@@ -514,7 +509,7 @@ impl Session {
             target: target.trim().to_string(),
             fragment: fragment.trim().to_string(),
         };
-        let outcome = self.engine.write().apply_update(doc, &op)?;
+        let outcome = self.engine.apply_update(doc, &op)?;
         Ok(format!(
             "inserted {} tuple(s) at the first of {} match(es) (lsn {}, doc generation {}) in {:.2?}",
             outcome.inserted,
@@ -539,7 +534,7 @@ impl Session {
         let op = UpdateOp::Delete {
             target: target.to_string(),
         };
-        let outcome = self.engine.write().apply_update(doc, &op)?;
+        let outcome = self.engine.apply_update(doc, &op)?;
         Ok(format!(
             "deleted {} tuple(s) across {} match(es) (lsn {}, doc generation {}) in {:.2?}",
             outcome.deleted,
@@ -780,10 +775,19 @@ mod tests {
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
 
+    /// A fresh temporary directory per call: tests run concurrently in
+    /// one process, so the pid alone would let them clobber each other.
+    fn scratch_dir(tag: &str) -> std::path::PathBuf {
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("vamana-cli-{tag}-{}-{n}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     fn loaded() -> Session {
         let mut s = Session::new();
-        let dir = std::env::temp_dir().join(format!("vamana-cli-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("load");
         let f = dir.join("t.xml");
         std::fs::write(
             &f,
@@ -792,6 +796,7 @@ mod tests {
         .unwrap();
         let out = s.execute(&format!(".load {}", f.display())).unwrap();
         assert!(out.contains("loaded"), "{out}");
+        std::fs::remove_dir_all(&dir).ok();
         s
     }
 
@@ -898,7 +903,7 @@ mod tests {
         let out = s.execute(".stats").unwrap();
         assert!(out.contains("tuples"), "{out}");
         assert!(out.contains("batch pins"), "{out}");
-        assert!(out.contains("merge stalls"), "{out}");
+        assert!(out.contains("fused"), "{out}");
         let out = s.execute(".docs").unwrap();
         assert!(out.contains("[0]"), "{out}");
     }
@@ -950,8 +955,7 @@ mod tests {
     #[test]
     fn save_and_open_round_trip() {
         let mut s = loaded();
-        let dir = std::env::temp_dir().join(format!("vamana-cli-save-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("save");
         let f = dir.join("session.mass");
         let out = s.execute(&format!(".save {}", f.display())).unwrap();
         assert!(out.contains("saved"), "{out}");
@@ -993,8 +997,7 @@ mod tests {
     #[test]
     fn saved_store_recovers_updates_from_the_wal() {
         let mut s = loaded();
-        let dir = std::env::temp_dir().join(format!("vamana-cli-wal-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("wal");
         let f = dir.join("durable.mass");
         let out = s.execute(&format!(".save {}", f.display())).unwrap();
         assert!(out.contains("saved"), "{out}");
@@ -1023,8 +1026,7 @@ mod tests {
         assert!(out.contains("in-memory store"), "{out}");
 
         let mut s = loaded();
-        let dir = std::env::temp_dir().join(format!("vamana-cli-walcmd-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("walcmd");
         let f = dir.join("walcmd.mass");
         s.execute(&format!(".save {}", f.display())).unwrap();
         let out = s

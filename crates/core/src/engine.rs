@@ -7,17 +7,16 @@
 
 use crate::cost::estimate;
 use crate::error::{EngineError, Result};
-use crate::exec::parallel::{ParallelHooks, ParallelScanStats, ScanPool};
 use crate::exec::{self, value::Value, Env};
 use crate::explain::Analysis;
 use crate::opt::{self, OptEvent, OptimizeOutcome, OptimizerOptions};
 use crate::plan::{builder::build_plan, display, Operator, QueryPlan};
 use crate::shared::QueryProfile;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vamana_flex::KeyRange;
-use vamana_mass::{DocId, MassError, MassStore, NodeEntry, RecordKind, WalStats};
+use vamana_mass::{DocId, MassStore, NodeEntry, RecordKind, WalStats};
 use vamana_xpath::{parse, Expr};
 
 /// Engine configuration.
@@ -36,25 +35,6 @@ pub struct EngineOptions {
     /// Produces the identical tuple sequence; `false` is the scalar
     /// baseline kept for benchmarking and differential testing.
     pub batched: bool,
-    /// Morsel-parallel scans: plans whose output step the optimizer
-    /// marked parallel-worthy fan out over the engine's shared scan
-    /// pool (requires `batched`). Identical output either way; `false`
-    /// keeps serial-batched as the differential oracle and baseline.
-    pub parallel: bool,
-    /// Scan-pool width. `0` means one worker per available core.
-    pub parallel_workers: usize,
-    /// Minimum estimated `COUNT` of the output step before the optimizer
-    /// considers fanning out — below this, thread hand-off costs more
-    /// than the scan.
-    pub parallel_threshold: u64,
-    /// Smallest worthwhile per-worker slice of the estimate; the degree
-    /// is capped at `count / parallel_min_morsel`.
-    pub parallel_min_morsel: u64,
-    /// How long a writer waits at the epoch gate for in-flight readers
-    /// (parallel morsel workers, open streams) to drop their store
-    /// handles before giving up with
-    /// [`vamana_mass::MassError::WriterConflict`].
-    pub writer_drain_timeout: Duration,
     /// Semantic result caching ([`crate::views`]): materialize the
     /// results of hot fragment queries and answer later queries from
     /// them when containment holds and the cost model agrees. Off by
@@ -90,11 +70,6 @@ impl Default for EngineOptions {
             set_semantics: true,
             max_opt_iterations: 8,
             batched: true,
-            parallel: true,
-            parallel_workers: 0,
-            parallel_threshold: 4096,
-            parallel_min_morsel: 1024,
-            writer_drain_timeout: Duration::from_secs(2),
             views: false,
             view_budget_bytes: 64 << 20,
             view_admit_after: 2,
@@ -103,6 +78,14 @@ impl Default for EngineOptions {
             fuse_force: false,
         }
     }
+}
+
+/// What [`Engine::parallel_stats`] returns: the morsel count of the
+/// deleted parallel scan path, which always reads zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ParallelScanStats {
+    /// Morsel tasks submitted (always zero).
+    pub morsels: u64,
 }
 
 /// A logical update routed through [`Engine::apply_update`]: targets are
@@ -141,8 +124,10 @@ pub struct UpdateOutcome {
     /// The document's generation *after* the update — plan caches keyed
     /// on `(doc, doc_generation)` use this to invalidate.
     pub doc_generation: u64,
-    /// Execution profile: target resolution + apply, including the time
-    /// spent waiting at the writer epoch gate.
+    /// Execution profile: target resolution + apply. `writer_wait` is
+    /// the time spent acquiring the engine write lock, filled in by
+    /// [`crate::SharedEngine::apply_update`]; zero when the caller
+    /// already held the engine exclusively.
     pub profile: QueryProfile,
 }
 
@@ -206,16 +191,7 @@ impl<'s> QueryStream<'s> {
                     root_ctx: &root_ctx,
                     stats: None,
                 };
-                let mut iter = None;
-                if engine.options().batched {
-                    if let Some(hooks) = engine.parallel_hooks(&plan) {
-                        iter = exec::parallel::build_parallel(env, top, &hooks)?;
-                    }
-                }
-                match iter {
-                    Some(it) => it,
-                    None => exec::build_iter(env, top, None)?,
-                }
+                exec::build_iter(env, top, None)?
             }
             None => exec::OpIter::Anchor(None),
         };
@@ -321,17 +297,8 @@ impl<'s> QueryStream<'s> {
 
 /// The VAMANA XPath engine.
 pub struct Engine {
-    /// Shared so parallel scan workers can hold the store across their
-    /// morsel; all clones are transient (reaped before a query returns),
-    /// which keeps [`Engine::store_mut`] available between queries.
-    store: Arc<MassStore>,
+    store: MassStore,
     options: EngineOptions,
-    /// Lazily created engine-level worker pool, reused across queries and
-    /// rebuilt only when the configured width changes.
-    scan_pool: Mutex<Option<Arc<ScanPool>>>,
-    /// Cumulative microseconds writers spent at the epoch gate waiting
-    /// for reader-held store clones to drain.
-    writer_wait_us: AtomicU64,
     /// Materialized-view cache (consulted only when `options.views`).
     views: crate::views::ViewCache,
     /// Cumulative count of queries executed through a fused chain.
@@ -349,10 +316,8 @@ impl Engine {
     /// Wraps a store with explicit options.
     pub fn with_options(store: MassStore, options: EngineOptions) -> Self {
         Engine {
-            store: Arc::new(store),
+            store,
             options,
-            scan_pool: Mutex::new(None),
-            writer_wait_us: AtomicU64::new(0),
             views: crate::views::ViewCache::new(),
             fused_chains: AtomicU64::new(0),
             fused_steps: AtomicU64::new(0),
@@ -369,112 +334,30 @@ impl Engine {
         &self.store
     }
 
-    /// A shared handle on the store, as held by parallel scan workers
-    /// for the duration of a morsel. While any such handle is alive,
-    /// [`Engine::store_mut`] waits at the epoch gate.
-    pub fn store_handle(&self) -> Arc<MassStore> {
-        Arc::clone(&self.store)
-    }
-
-    /// Mutable store access (loading documents, updates), behind the
-    /// *epoch gate*: store clones held by in-flight parallel scans or
-    /// open streams are normally reaped before their query returns, but
-    /// a writer arriving while one is still alive waits (bounded by
-    /// [`EngineOptions::writer_drain_timeout`]) for the readers to
-    /// drain instead of panicking. On timeout the caller gets
-    /// [`MassError::WriterConflict`] and the store is untouched.
-    pub fn store_mut(&mut self) -> Result<&mut MassStore> {
-        let start = Instant::now();
-        let deadline = start + self.options.writer_drain_timeout;
-        loop {
-            if Arc::get_mut(&mut self.store).is_some() {
-                break;
-            }
-            if Instant::now() >= deadline {
-                return Err(EngineError::Storage(MassError::WriterConflict));
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let waited = start.elapsed();
-        if !waited.is_zero() {
-            self.writer_wait_us
-                .fetch_add(waited.as_micros() as u64, Ordering::Relaxed);
-        }
-        Ok(Arc::get_mut(&mut self.store).expect("gate drained"))
-    }
-
-    /// Total time writers have spent waiting at the epoch gate.
-    pub fn writer_wait_total(&self) -> Duration {
-        Duration::from_micros(self.writer_wait_us.load(Ordering::Relaxed))
+    /// Mutable store access (loading documents, updates). Readers borrow
+    /// the store through `&self` (queries, open [`QueryStream`]s), so the
+    /// borrow checker — or, across threads, the
+    /// [`crate::SharedEngine`] write lock — already excludes them.
+    pub fn store_mut(&mut self) -> &mut MassStore {
+        &mut self.store
     }
 
     /// Swaps the underlying store wholesale — a replica installing a
-    /// snapshot shipped from its primary. Waits at the same epoch gate as
-    /// [`Engine::store_mut`] so no in-flight scan still holds the old
-    /// store. Callers owning plan caches must clear them: the new store's
-    /// document generations restart at zero.
-    pub fn replace_store(&mut self, store: MassStore) -> Result<()> {
-        self.store_mut()?;
-        self.store = Arc::new(store);
+    /// snapshot shipped from its primary. Callers owning plan caches
+    /// must clear them: the new store's document generations restart at
+    /// zero.
+    pub fn replace_store(&mut self, store: MassStore) {
+        self.store = store;
         // The new store's generations restart at zero; every resident
         // view is untrusted.
         self.views.clear();
-        Ok(())
     }
 
-    /// The scan-pool width this engine resolves to: the configured
-    /// [`EngineOptions::parallel_workers`], or one per available core.
-    pub fn effective_workers(&self) -> usize {
-        if self.options.parallel_workers > 0 {
-            self.options.parallel_workers
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        }
-    }
-
-    /// Cumulative parallel-scan counters (all zero until the first
-    /// parallel query creates the pool).
+    /// Always zero: queries run on the serial batched pipeline, which
+    /// fans nothing out. Kept so readers of the former morsel counters
+    /// keep compiling until they drop them.
     pub fn parallel_stats(&self) -> ParallelScanStats {
-        let guard = self.scan_pool.lock().unwrap_or_else(|e| e.into_inner());
-        match guard.as_ref() {
-            Some(pool) => pool.stats(),
-            None => ParallelScanStats::default(),
-        }
-    }
-
-    /// The shared scan pool, created on first use and recreated when the
-    /// configured width changes.
-    fn scan_pool(&self) -> Arc<ScanPool> {
-        let width = self.effective_workers().max(1);
-        let mut guard = self.scan_pool.lock().unwrap_or_else(|e| e.into_inner());
-        match guard.as_ref() {
-            Some(pool) if pool.width() == width => Arc::clone(pool),
-            _ => {
-                let pool = Arc::new(ScanPool::new(width));
-                *guard = Some(Arc::clone(&pool));
-                pool
-            }
-        }
-    }
-
-    /// Execution-time gate for the optimizer's parallel choice: only when
-    /// parallel + batched execution are enabled and the plan carries a
-    /// degree ≥ 2 does a query fan out.
-    pub(crate) fn parallel_hooks(&self, plan: &QueryPlan) -> Option<ParallelHooks> {
-        if !self.options.parallel || !self.options.batched {
-            return None;
-        }
-        let choice = plan.parallel()?;
-        if choice.degree < 2 {
-            return None;
-        }
-        Some(ParallelHooks {
-            store: Arc::clone(&self.store),
-            pool: self.scan_pool(),
-            choice,
-        })
+        ParallelScanStats::default()
     }
 
     /// Current options.
@@ -489,12 +372,12 @@ impl Engine {
 
     /// Convenience: parse and load an XML string as a document.
     pub fn load_xml(&mut self, name: &str, xml: &str) -> Result<DocId> {
-        Ok(self.store_mut()?.load_xml(name, xml)?)
+        Ok(self.store.load_xml(name, xml)?)
     }
 
     /// Applies a logical update to `doc`: resolves the target XPath under
     /// shared access, then routes the mutation through the store's
-    /// WAL-logged update path behind the epoch gate. Inserts append the
+    /// WAL-logged update path. Inserts append the
     /// fragment to the *first* match; deletes remove the subtrees of
     /// *every* match (skipping nodes already removed as part of an
     /// earlier match's subtree).
@@ -514,9 +397,7 @@ impl Engine {
                 }
             }
         }
-        let wait_start = Instant::now();
-        let store = self.store_mut()?;
-        let writer_wait = wait_start.elapsed();
+        let store = &mut self.store;
         let tuples_before = store.stats().tuples;
         let mut deleted = 0u64;
         match op {
@@ -546,7 +427,6 @@ impl Engine {
             buffer_hits: buffer_after.hits.saturating_sub(buffer_before.hits),
             buffer_misses: buffer_after.misses.saturating_sub(buffer_before.misses),
             rows: matched.len() as u64,
-            writer_wait,
             ..QueryProfile::default()
         };
         Ok(UpdateOutcome {
@@ -561,12 +441,11 @@ impl Engine {
     }
 
     /// Folds the WAL into the page store and truncates it (see
-    /// [`MassStore::checkpoint`]), behind the epoch gate. Returns the
-    /// post-checkpoint WAL counters.
+    /// [`MassStore::checkpoint`]). Returns the post-checkpoint WAL
+    /// counters.
     pub fn checkpoint(&mut self) -> Result<WalStats> {
-        let store = self.store_mut()?;
-        store.checkpoint()?;
-        Ok(store.wal_stats())
+        self.store.checkpoint()?;
+        Ok(self.store.wal_stats())
     }
 
     fn doc_entry(&self, doc: DocId) -> Result<NodeEntry> {
@@ -589,10 +468,7 @@ impl Engine {
         build_plan(&expr)
     }
 
-    /// Optimizes a plan for `doc` and reports the outcome. The parallel
-    /// decision is always recorded on the resulting plan (even when
-    /// `options.parallel` is off) so precompiled/cached plans carry it;
-    /// execution gates on the option separately.
+    /// Optimizes a plan for `doc` and reports the outcome.
     pub fn optimize_plan(&self, plan: QueryPlan, doc: DocId) -> Result<OptimizeOutcome> {
         let scope = self.doc_scope(doc)?;
         let opts = OptimizerOptions {
@@ -620,14 +496,6 @@ impl Engine {
                 self.apply_fuse(&mut outcome, probe, &scope)?;
             }
         }
-        outcome.plan.set_parallel(opt::parallel::decide(
-            &outcome.plan,
-            self.store(),
-            &scope,
-            self.effective_workers(),
-            self.options.parallel_threshold,
-            self.options.parallel_min_morsel,
-        ));
         Ok(outcome)
     }
 
@@ -883,14 +751,7 @@ impl Engine {
             root_ctx: &root_ctx,
             stats: None,
         };
-        let hooks = self.parallel_hooks(plan);
-        exec::run_plan(
-            env,
-            None,
-            self.options.set_semantics,
-            self.options.batched,
-            hooks.as_ref(),
-        )
+        exec::run_from_mode(env, None, self.options.set_semantics, self.options.batched)
     }
 
     /// Compiles, (optionally) optimizes, and executes `xpath` on `doc`.
@@ -1029,13 +890,11 @@ impl Engine {
     /// returning an [`Analysis`] holding the estimate-stamped plan, the
     /// optimizer's pass log, and the recorded actuals.
     ///
-    /// Execution follows the engine's configured mode (scalar, batched,
-    /// or parallel) exactly as [`Engine::query_doc`] would — the actual
-    /// row counts are identical in every mode; only batch/timing counters
-    /// differ.
+    /// Execution follows the engine's configured mode (scalar or
+    /// batched) exactly as [`Engine::query_doc`] would — the actual row
+    /// counts are identical in both; only batch/timing counters differ.
     pub fn analyze_doc(&self, doc: DocId, xpath: &str) -> Result<Analysis> {
         let buffer_before = self.store().buffer_pool().stats();
-        let par_before = self.parallel_stats();
         let start = std::time::Instant::now();
         let scope = self.doc_scope(doc)?;
         let mut plan = self.compile(xpath)?;
@@ -1072,18 +931,10 @@ impl Engine {
             root_ctx: &root_ctx,
             stats: Some(&stats),
         };
-        let hooks = self.parallel_hooks(&plan);
-        let out = exec::run_plan(
-            env,
-            None,
-            self.options.set_semantics,
-            self.options.batched,
-            hooks.as_ref(),
-        )?;
+        let out = exec::run_from_mode(env, None, self.options.set_semantics, self.options.batched)?;
         let elapsed = start.elapsed();
         let actuals = stats.snapshot();
         let buffer_after = self.store().buffer_pool().stats();
-        let par = self.parallel_stats();
         let (fused_chains, fused_steps) = crate::plan::fused_in_plan(&plan);
         let profile = QueryProfile {
             elapsed,
@@ -1095,9 +946,6 @@ impl Engine {
             pins_saved: buffer_after
                 .pins_saved
                 .saturating_sub(buffer_before.pins_saved),
-            morsels: par.morsels.saturating_sub(par_before.morsels),
-            worker_batches: par.worker_batches.saturating_sub(par_before.worker_batches),
-            merge_stalls: par.merge_stalls.saturating_sub(par_before.merge_stalls),
             fused_chains,
             fused_steps,
             decodes_v1: buffer_after
@@ -1576,30 +1424,6 @@ mod tests {
         // Scalar (unbatched) fused execution is the differential oracle.
         e.options_mut().batched = false;
         assert_eq!(e.query_doc(doc, "//person/*//*").unwrap(), want);
-    }
-
-    #[test]
-    fn fusion_composes_with_parallel_scans_in_document_order() {
-        let mut xml = String::from("<site><people>");
-        for i in 0..4000 {
-            xml.push_str(&format!(
-                "<person id=\"p{i}\"><name>n{i}</name><watches><watch/></watches></person>"
-            ));
-        }
-        xml.push_str("</people></site>");
-        let mut store = MassStore::open_memory();
-        store.load_xml("big", &xml).unwrap();
-        let mut e = Engine::new(store);
-        let doc = DocId(0);
-        let want = e.query_doc(doc, "//person//*").unwrap();
-        e.options_mut().parallel = true;
-        e.options_mut().parallel_threshold = 1;
-        e.options_mut().parallel_min_morsel = 1;
-        e.options_mut().fuse = true;
-        e.options_mut().fuse_force = true;
-        let got = e.query_doc(doc, "//person//*").unwrap();
-        assert_eq!(got, want);
-        assert!(got.windows(2).all(|w| w[0].key < w[1].key));
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! the tuple under test; absolute paths anchor back at the query root.
 
 pub mod fused;
-pub mod parallel;
 pub mod stats;
 pub mod value;
 
@@ -127,23 +126,6 @@ pub fn run_from_mode(
     set_semantics: bool,
     batched: bool,
 ) -> Result<Vec<NodeEntry>> {
-    run_plan(env, outer, set_semantics, batched, None)
-}
-
-/// [`run_from_mode`] with an optional parallel-scan hookup. When `par`
-/// is provided (engine gating: `EngineOptions.parallel`, a plan-recorded
-/// [`crate::plan::ParallelChoice`], batched mode, top-level run), the
-/// plan's output step fans out over the engine's scan pool; any shape
-/// that does not qualify at runtime falls back to the serial pipeline.
-/// Output is identical in all cases — parallelism only reorders *work*,
-/// never tuples.
-pub fn run_plan(
-    env: Env<'_, '_>,
-    outer: Option<&NodeEntry>,
-    set_semantics: bool,
-    batched: bool,
-    par: Option<&parallel::ParallelHooks>,
-) -> Result<Vec<NodeEntry>> {
     let top = match env.plan.op(env.plan.root()) {
         Operator::Root { child } => *child,
         _ => Some(env.plan.root()),
@@ -152,15 +134,7 @@ pub fn run_plan(
         return Ok(Vec::new());
     };
     let started = env.stats.map(|_| std::time::Instant::now());
-    let mut iter = match par {
-        Some(hooks) if outer.is_none() && batched => {
-            match parallel::build_parallel(env, top, hooks)? {
-                Some(it) => it,
-                None => build_iter(env, top, outer)?,
-            }
-        }
-        _ => build_iter(env, top, outer)?,
-    };
+    let mut iter = build_iter(env, top, outer)?;
     let mut out = Vec::new();
     if batched {
         while iter.next_batch(env, &mut out, BATCH_SIZE)? > 0 {}
@@ -207,9 +181,6 @@ pub enum OpIter<'s> {
     /// Value semi-join (algebra completeness): yields left tuples whose
     /// string value matches some right tuple under the condition.
     Join(std::vec::IntoIter<NodeEntry>),
-    /// Morsel-parallel scan with ordered merge (borrows nothing: workers
-    /// hold `Arc` clones of the store).
-    Parallel(Box<parallel::ParallelIter>),
     /// Scan over a materialized view's cached result set (already in
     /// document order, deduplicated). Carries its plan [`OpId`] and a
     /// cursor position into the shared entry vector.
@@ -378,16 +349,6 @@ impl<'s> OpIter<'s> {
                 Ok(t)
             }
             OpIter::Join(items) => Ok(items.next()),
-            OpIter::Parallel(p) => {
-                let t = p.next()?;
-                if let Some(stats) = env.stats {
-                    stats.add_invocation(p.op);
-                    if t.is_some() {
-                        stats.add_rows(p.op, 1);
-                    }
-                }
-                Ok(t)
-            }
             OpIter::View { op, entries, pos } => {
                 let t = entries.get(*pos).cloned();
                 if t.is_some() {
@@ -445,25 +406,6 @@ impl<'s> OpIter<'s> {
                 out.extend(items.by_ref().take(max));
                 Ok(out.len() - start)
             }
-            OpIter::Parallel(p) => match env.stats {
-                None => p.next_batch(out, max),
-                Some(stats) => {
-                    // The merge point sees every tuple regardless of
-                    // which worker produced it, so attributing rows here
-                    // matches the serial pipeline's totals exactly; the
-                    // pool delta credits worker page traffic to the scan.
-                    let (p0, pin0) = env.store.buffer_pool().probe_pin_counts();
-                    let t0 = std::time::Instant::now();
-                    let n = p.next_batch(out, max)?;
-                    let (p1, pin1) = env.store.buffer_pool().probe_pin_counts();
-                    stats.add_invocation(p.op);
-                    stats.add_batch(p.op);
-                    stats.add_rows(p.op, n as u64);
-                    stats.add_nanos(p.op, t0.elapsed().as_nanos() as u64);
-                    stats.add_probe_pins(p.op, p1.saturating_sub(p0), pin1.saturating_sub(pin0));
-                    Ok(n)
-                }
-            },
             OpIter::View { op, entries, pos } => {
                 let t0 = env.stats.map(|_| std::time::Instant::now());
                 let end = (*pos + max).min(entries.len());

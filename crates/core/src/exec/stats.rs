@@ -7,8 +7,8 @@
 //! `Engine::analyze`, where cursors record what they actually did:
 //!
 //! - `rows` — tuples produced by the operator. Identical across the
-//!   scalar, batched, and parallel pipelines (they produce the same
-//!   tuple sequence), which is what the DOM-oracle tests pin down.
+//!   scalar and batched pipelines (they produce the same tuple
+//!   sequence), which is what the DOM-oracle tests pin down.
 //! - `invocations` — cursor pulls (`next` calls / `next_batch` calls;
 //!   for predicate operators, context tuples tested).
 //! - `batches` — `next_batch` calls that reached the operator. Mode
@@ -18,9 +18,9 @@
 //! - `probes` / `pins` — buffer-pool page requests and batched page
 //!   pins, attributed inclusively per batch from pool counter deltas.
 //!
-//! Counters are relaxed atomics so morsel workers on the parallel path
-//! aggregate correctly without synchronization beyond the store's own;
-//! a finished run is read through [`ExecStats::snapshot`].
+//! Counters are relaxed atomics so cursors can record through the shared
+//! `&ExecStats` every [`super::Env`] copy carries; a finished run is read
+//! through [`ExecStats::snapshot`].
 
 use crate::plan::OpId;
 use std::sync::atomic::{AtomicU64, Ordering};

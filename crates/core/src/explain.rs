@@ -16,9 +16,9 @@
 //! unbounded miss (∞).
 //!
 //! [`Analysis::render`] is deliberately **mode stable**: it prints only
-//! quantities that are identical across the scalar, batched, and
-//! parallel pipelines (estimates, actual rows, q-errors) — never batch
-//! counts or timings, which vary run to run. The golden-file tests pin
+//! quantities that are identical across the scalar and batched
+//! pipelines (estimates, actual rows, q-errors) — never batch counts or
+//! timings, which vary run to run. The golden-file tests pin
 //! this down. Timings and buffer traffic appear in
 //! [`Analysis::render_json`] and the [`crate::QueryProfile`].
 
@@ -142,8 +142,8 @@ impl Analysis {
     }
 
     /// Renders the annotated tree plus the misestimation summary. Mode
-    /// stable: identical output whether the run was scalar, batched, or
-    /// parallel (see the module docs).
+    /// stable: identical output whether the run was scalar or batched
+    /// (see the module docs).
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(

@@ -46,14 +46,15 @@ pub mod shared;
 pub mod views;
 
 pub use cost::EstimateCard;
-pub use engine::{Engine, EngineOptions, Explain, QueryStream, UpdateOp, UpdateOutcome};
+pub use engine::{
+    Engine, EngineOptions, Explain, ParallelScanStats, QueryStream, UpdateOp, UpdateOutcome,
+};
 pub use error::{EngineError, Result};
-pub use exec::parallel::ParallelScanStats;
 pub use exec::stats::{ExecStats, ExecStatsSnapshot, OpActualsSnapshot};
 pub use exec::value::Value;
 pub use explain::{qerror, Analysis, Misestimate};
 pub use opt::{OptEvent, OptTrace, OptimizeOutcome, OptimizerOptions, RuleDecision};
-pub use plan::{builder::build_plan, display::render, OpId, Operator, ParallelChoice, QueryPlan};
+pub use plan::{builder::build_plan, display::render, OpId, Operator, QueryPlan};
 pub use shared::{QueryProfile, SharedEngine};
 pub use views::{contains, pattern_for, plan_view, Pattern, ViewCache, ViewStatsSnapshot};
 

@@ -10,7 +10,6 @@
 
 pub mod cleanup;
 pub mod fuse;
-pub mod parallel;
 pub mod rules;
 
 use crate::cost::{estimate, PlanCosts};

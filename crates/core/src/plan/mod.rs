@@ -424,27 +424,11 @@ pub fn fused_in_plan(plan: &QueryPlan) -> (u64, u64) {
     (chains, steps)
 }
 
-/// The optimizer's parallel-scan decision, carried by the plan so cached
-/// (pre-compiled) plans replay the same choice without re-consulting the
-/// index. Both fields come from index statistics at plan time; the
-/// executor re-derives the actual morsel boundaries from the *live*
-/// index when the plan runs, so a stale estimate can only mis-size the
-/// fan-out, never produce wrong results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParallelChoice {
-    /// Fan-out the executor should use (always >= 2; a degree of 1 is
-    /// expressed by omitting the choice).
-    pub degree: u32,
-    /// The index-derived `COUNT` estimate that cleared the threshold.
-    pub estimated: u64,
-}
-
 /// A physical query plan: an operator arena plus the root id.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryPlan {
     ops: Vec<Operator>,
     root: OpId,
-    parallel: Option<ParallelChoice>,
     /// Per-operator [`EstimateCard`]s stamped at optimization time,
     /// indexed by arena position. Empty until
     /// [`QueryPlan::set_estimates`] runs (e.g. on plans that never went
@@ -458,7 +442,6 @@ impl QueryPlan {
         QueryPlan {
             ops,
             root,
-            parallel: None,
             estimates: Vec::new(),
         }
     }
@@ -481,16 +464,6 @@ impl QueryPlan {
     /// mutate the arena afterwards should re-stamp.
     pub fn set_estimates(&mut self, estimates: Vec<Option<crate::cost::EstimateCard>>) {
         self.estimates = estimates;
-    }
-
-    /// The optimizer's parallel-scan choice, if it decided to fan out.
-    pub fn parallel(&self) -> Option<ParallelChoice> {
-        self.parallel
-    }
-
-    /// Records (or clears) the parallel-scan choice.
-    pub fn set_parallel(&mut self, choice: Option<ParallelChoice>) {
-        self.parallel = choice;
     }
 
     /// The root operator id.

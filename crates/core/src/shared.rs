@@ -8,8 +8,9 @@
 //! against the old contents. `vamana-server` builds its worker pool on
 //! this type.
 
-use crate::engine::Engine;
+use crate::engine::{Engine, UpdateOp, UpdateOutcome};
 use crate::error::Result;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 use vamana_mass::{BufferStats, DocId, NodeEntry};
@@ -35,14 +36,6 @@ pub struct QueryProfile {
     pub batch_pins: u64,
     /// Per-record pool entries batched scans avoided during the query.
     pub pins_saved: u64,
-    /// Morsels dispatched to the scan pool during the query (zero when
-    /// the query ran serially).
-    pub morsels: u64,
-    /// Batches produced by scan-pool workers during the query.
-    pub worker_batches: u64,
-    /// Times the ordered-merge consumer had to wait for the in-order
-    /// morsel to produce a batch.
-    pub merge_stalls: u64,
     /// Fused step-chain operators executed by the query (zero when the
     /// plan ran unfused).
     pub fused_chains: u64,
@@ -56,9 +49,9 @@ pub struct QueryProfile {
     pub decodes_v2: u64,
     /// Result cardinality.
     pub rows: u64,
-    /// Time a writer spent parked at the epoch gate waiting for pinned
-    /// readers to drain ([`Engine::store_mut`]); always zero on the
-    /// read-only profiled paths.
+    /// Time an update spent acquiring the [`SharedEngine`] write lock
+    /// ([`SharedEngine::apply_update`]); always zero on the read-only
+    /// profiled paths.
     pub writer_wait: Duration,
     /// Per-operator actuals of the run — populated only by
     /// `EXPLAIN ANALYZE` ([`crate::engine::Engine::analyze_doc`]);
@@ -95,13 +88,11 @@ impl Engine {
         xpath: &str,
     ) -> Result<(Vec<NodeEntry>, QueryProfile)> {
         let before = self.store().buffer_pool().stats();
-        let par_before = self.parallel_stats();
         let fused_before = self.fused_stats();
         let start = Instant::now();
         let rows = self.query_doc(doc, xpath)?;
         let elapsed = start.elapsed();
         let d = delta(before, self.store().buffer_pool().stats());
-        let par = self.parallel_stats();
         let fused = self.fused_stats();
         let profile = QueryProfile {
             elapsed,
@@ -109,9 +100,6 @@ impl Engine {
             buffer_misses: d.misses,
             batch_pins: d.batch_pins,
             pins_saved: d.pins_saved,
-            morsels: par.morsels.saturating_sub(par_before.morsels),
-            worker_batches: par.worker_batches.saturating_sub(par_before.worker_batches),
-            merge_stalls: par.merge_stalls.saturating_sub(par_before.merge_stalls),
             fused_chains: fused.0.saturating_sub(fused_before.0),
             fused_steps: fused.1.saturating_sub(fused_before.1),
             decodes_v1: d.decodes_v1,
@@ -132,13 +120,11 @@ impl Engine {
         doc: DocId,
     ) -> Result<(Vec<NodeEntry>, QueryProfile)> {
         let before = self.store().buffer_pool().stats();
-        let par_before = self.parallel_stats();
         let fused_before = self.fused_stats();
         let start = Instant::now();
         let rows = self.execute_plan(plan, doc)?;
         let elapsed = start.elapsed();
         let d = delta(before, self.store().buffer_pool().stats());
-        let par = self.parallel_stats();
         let fused = self.fused_stats();
         let profile = QueryProfile {
             elapsed,
@@ -146,9 +132,6 @@ impl Engine {
             buffer_misses: d.misses,
             batch_pins: d.batch_pins,
             pins_saved: d.pins_saved,
-            morsels: par.morsels.saturating_sub(par_before.morsels),
-            worker_batches: par.worker_batches.saturating_sub(par_before.worker_batches),
-            merge_stalls: par.merge_stalls.saturating_sub(par_before.merge_stalls),
             fused_chains: fused.0.saturating_sub(fused_before.0),
             fused_steps: fused.1.saturating_sub(fused_before.1),
             decodes_v1: d.decodes_v1,
@@ -166,6 +149,8 @@ impl Engine {
 /// the query path and [`write`](SharedEngine::write) on the load path.
 pub struct SharedEngine {
     inner: RwLock<Engine>,
+    /// Cumulative microseconds spent acquiring the write lock.
+    writer_wait_us: AtomicU64,
 }
 
 impl SharedEngine {
@@ -173,6 +158,7 @@ impl SharedEngine {
     pub fn new(engine: Engine) -> Self {
         SharedEngine {
             inner: RwLock::new(engine),
+            writer_wait_us: AtomicU64::new(0),
         }
     }
 
@@ -185,9 +171,36 @@ impl SharedEngine {
         self.inner.read().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Write access for the load/update path: exclusive.
+    /// Write access for the load/update path: exclusive. The time spent
+    /// waiting for readers to release the lock adds to
+    /// [`writer_wait_total`](SharedEngine::writer_wait_total).
     pub fn write(&self) -> RwLockWriteGuard<'_, Engine> {
-        self.inner.write().unwrap_or_else(|p| p.into_inner())
+        self.write_timed().0
+    }
+
+    /// [`write`](SharedEngine::write), also returning how long the lock
+    /// took to acquire.
+    fn write_timed(&self) -> (RwLockWriteGuard<'_, Engine>, Duration) {
+        let start = Instant::now();
+        let guard = self.inner.write().unwrap_or_else(|p| p.into_inner());
+        let waited = start.elapsed();
+        self.writer_wait_us
+            .fetch_add(waited.as_micros() as u64, Ordering::Relaxed);
+        (guard, waited)
+    }
+
+    /// [`Engine::apply_update`] under the write lock, with the lock wait
+    /// reported as the outcome's `profile.writer_wait`.
+    pub fn apply_update(&self, doc: DocId, op: &UpdateOp) -> Result<UpdateOutcome> {
+        let (mut engine, waited) = self.write_timed();
+        let mut outcome = engine.apply_update(doc, op)?;
+        outcome.profile.writer_wait = waited;
+        Ok(outcome)
+    }
+
+    /// Total time writers have spent acquiring the write lock.
+    pub fn writer_wait_total(&self) -> Duration {
+        Duration::from_micros(self.writer_wait_us.load(Ordering::Relaxed))
     }
 
     /// Convenience: load a document under the write lock.

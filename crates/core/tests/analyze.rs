@@ -2,9 +2,9 @@
 //! instrumentation hygiene (no drift when disabled, no profile
 //! carry-over between queries).
 
-use vamana_core::{DocId, Engine, EngineOptions, MassStore};
+use vamana_core::{DocId, Engine, MassStore};
 
-/// ~3600 elements so scan queries clear the lowered parallel thresholds.
+/// ~3600 elements so scan queries span many pages and batches.
 fn big_doc() -> String {
     let mut xml = String::from("<site>");
     for s in 0..12 {
@@ -21,18 +21,10 @@ fn big_doc() -> String {
     xml
 }
 
-fn engine(workers: usize) -> Engine {
+fn engine() -> Engine {
     let mut store = MassStore::open_memory();
     store.load_xml("doc", &big_doc()).unwrap();
-    Engine::with_options(
-        store,
-        EngineOptions {
-            parallel_workers: workers,
-            parallel_threshold: 64,
-            parallel_min_morsel: 16,
-            ..Default::default()
-        },
-    )
+    Engine::new(store)
 }
 
 fn small_engine() -> Engine {
@@ -64,36 +56,22 @@ misestimations: none above ×1.05
     assert_eq!(analysis.render(), expected);
 }
 
-/// `Analysis::render` is mode stable: scalar, batched, and parallel runs
-/// produce byte-identical text (actual rows are pipeline-invariant; the
-/// varying counters are confined to the JSON/profile surfaces).
+/// `Analysis::render` is mode stable: scalar and batched runs produce
+/// byte-identical text (actual rows are pipeline-invariant; the varying
+/// counters are confined to the JSON/profile surfaces).
 #[test]
 fn render_is_identical_across_modes() {
-    let mut e = engine(4);
+    let mut e = engine();
     for xpath in ["/site//*", "//item/*", "//item[price='3']/name"] {
         e.options_mut().batched = false;
-        e.options_mut().parallel = false;
         let scalar = e.analyze_doc(DocId(0), xpath).unwrap();
         e.options_mut().batched = true;
         let batched = e.analyze_doc(DocId(0), xpath).unwrap();
-        e.options_mut().parallel = true;
-        let parallel = e.analyze_doc(DocId(0), xpath).unwrap();
         assert_eq!(
             scalar.render(),
             batched.render(),
             "{xpath}: scalar vs batched"
         );
-        assert_eq!(
-            batched.render(),
-            parallel.render(),
-            "{xpath}: batched vs parallel"
-        );
-        if xpath == "/site//*" {
-            assert!(
-                parallel.profile.morsels > 0,
-                "{xpath}: parallel mode did not engage, mode stability untested"
-            );
-        }
     }
 }
 
@@ -102,7 +80,7 @@ fn render_is_identical_across_modes() {
 /// its own counter tree; the plain query path has none at all).
 #[test]
 fn repeated_analyze_has_no_counter_drift() {
-    let e = engine(2);
+    let e = engine();
     let first = e.analyze_doc(DocId(0), "//item/name").unwrap();
     for _ in 0..3 {
         e.query_doc(DocId(0), "//item/name").unwrap();
@@ -119,20 +97,17 @@ fn repeated_analyze_has_no_counter_drift() {
     assert_eq!(first.render(), second.render());
 }
 
-/// Profile counters are per-query deltas: a big parallel query followed
-/// by a tiny serial one on the same engine must not leak morsel or
+/// Profile counters are per-query deltas: a big batched scan followed
+/// by a tiny index-answered query on the same engine must not leak
 /// batch-pin counts into the second profile.
 #[test]
 fn profile_counters_reset_between_queries() {
-    let mut e = engine(4);
-    e.options_mut().batched = true;
-    e.options_mut().parallel = true;
+    let e = engine();
     let (_, big) = e.query_doc_profiled(DocId(0), "/site//*").unwrap();
-    assert!(big.morsels > 0, "big scan should fan out");
-    // `//section` matches 12 nodes — far below the parallel threshold.
+    assert!(big.batch_pins > 0, "big scan should pin pages in batches");
+    // `//section` is answered from the name index: no page traffic.
     let (rows, small) = e.query_doc_profiled(DocId(0), "//section").unwrap();
     assert_eq!(rows.len(), 12);
-    assert_eq!(small.morsels, 0, "morsels leaked into the serial query");
-    assert_eq!(small.worker_batches, 0, "batches leaked");
-    assert_eq!(small.merge_stalls, 0, "stalls leaked");
+    assert_eq!(small.batch_pins, 0, "batch pins leaked");
+    assert_eq!(small.pins_saved, 0, "saved pins leaked");
 }

@@ -510,19 +510,6 @@ pub fn axis_stream<'a>(
     Ok(stream)
 }
 
-/// The stream a morsel-parallel worker runs over one sub-range of a
-/// descendant(-or-self) axis: the same evaluation [`axis_stream`] picks
-/// for those axes (name-driven index slice when the filter allows,
-/// clustered batched scan otherwise), restricted to `range`.
-///
-/// Splitting the axis range with [`MassStore::partition_range`] and
-/// concatenating the streams of the parts in order yields exactly the
-/// sequence `axis_stream` produces over the whole range — the contract
-/// the ordered merge in `vamana-core` relies on.
-pub fn range_scan_stream(store: &MassStore, range: KeyRange, filter: NodeFilter) -> AxisStream<'_> {
-    ranged_stream(store, range, filter, None, None, false)
-}
-
 /// The subtree range of the document containing `key` (or all documents
 /// when `key` is the virtual super-root).
 fn document_range(key: &FlexKey) -> KeyRange {

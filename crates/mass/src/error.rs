@@ -23,9 +23,6 @@ pub enum MassError {
     InvalidUpdate(String),
     /// Sibling label space was exhausted during an insert.
     Label(vamana_flex::LabelError),
-    /// A writer needed exclusive store access while readers still pinned
-    /// it (the epoch gate timed out draining them).
-    WriterConflict,
 }
 
 impl fmt::Display for MassError {
@@ -39,9 +36,6 @@ impl fmt::Display for MassError {
             MassError::KeyNotFound => write!(f, "key not found"),
             MassError::InvalidUpdate(r) => write!(f, "invalid update: {r}"),
             MassError::Label(e) => write!(f, "label allocation failed: {e}"),
-            MassError::WriterConflict => {
-                write!(f, "writer conflict: store pinned by active readers")
-            }
         }
     }
 }

@@ -485,101 +485,6 @@ impl MassStore {
         self.value_index.numeric_count_in(op, bound, range)
     }
 
-    // ---- morsel partitioning (parallel scans) -----------------------------
-
-    /// Splits `range` into at most `n` disjoint sub-ranges whose
-    /// concatenation covers it exactly, with every interior boundary on
-    /// a *page* boundary (the first key of some page in the sparse
-    /// index). A cursor over one sub-range therefore never pins a page
-    /// that a sibling sub-range's cursor reads past its first record —
-    /// each morsel is a disjoint page run, so parallel workers don't
-    /// fight over pins and the per-page batch amortization of
-    /// [`crate::cursor::MassCursor::next_batch`] is preserved.
-    ///
-    /// The split starts from [`KeyRange::split_even`]'s key-space
-    /// proposal with each cut snapped up to the next page-first key, but
-    /// key-space interpolation is oblivious to the data distribution
-    /// (flat keys cluster at the low end of the byte space), so when the
-    /// snapped cuts leave any morsel with more than ~2x its fair share
-    /// of pages — or the range is unbounded above — the proposal is
-    /// replaced by equi-depth page runs taken directly from the sparse
-    /// index, which *is* the distribution.
-    ///
-    /// Returns `vec![range]` when there is nothing to split (`n <= 1`,
-    /// empty range/store, or the range spans a single page). Boundaries
-    /// are derived from the live index: callers holding a consistent
-    /// read view (same [`MassStore::generation`]) get morsels that
-    /// exactly tile the serial scan.
-    pub fn partition_range(&self, range: &KeyRange, n: usize) -> Vec<KeyRange> {
-        if n <= 1 || range.is_empty() || self.index.is_empty() {
-            return vec![range.clone()];
-        }
-        // Pages overlapping the range: positions [start, end) in the
-        // sparse index.
-        let start = self.page_pos_for(&range.lo).unwrap_or(0);
-        let end = match &range.hi {
-            Some(hi) => self
-                .index
-                .partition_point(|(first, _)| first.as_slice() < hi.as_slice()),
-            None => self.index.len(),
-        };
-        if end <= start + 1 {
-            return vec![range.clone()];
-        }
-        let pages = end - start;
-        let m = n.min(pages);
-        // Key-space proposal, each cut snapped up to the first key of
-        // the nearest following page.
-        let mut cut_pages: Vec<usize> = range
-            .split_even(m)
-            .iter()
-            .skip(1)
-            .map(|r| {
-                self.index
-                    .partition_point(|(first, _)| first.as_slice() < r.lo.as_slice())
-            })
-            .filter(|&p| p > start && p < end)
-            .collect();
-        cut_pages.dedup();
-        let fair = pages.div_ceil(m);
-        let balanced = cut_pages.len() + 1 == m && {
-            let mut prev = start;
-            let mut max_run = 0;
-            for &p in cut_pages.iter().chain(std::iter::once(&end)) {
-                max_run = max_run.max(p - prev);
-                prev = p;
-            }
-            max_run <= fair * 2
-        };
-        if !balanced {
-            // Equi-depth page runs: boundaries straight off the index.
-            cut_pages = (1..m).map(|k| start + k * pages / m).collect();
-            cut_pages.dedup();
-        }
-        let mut parts = Vec::with_capacity(m);
-        let mut lo = range.lo.clone();
-        for p in cut_pages {
-            let cut = &self.index[p].0;
-            if cut.as_slice() <= lo.as_slice() {
-                continue;
-            }
-            if let Some(hi) = &range.hi {
-                if cut.as_slice() >= hi.as_slice() {
-                    continue;
-                }
-            }
-            parts.push(KeyRange {
-                lo: std::mem::replace(&mut lo, cut.clone()),
-                hi: Some(cut.clone()),
-            });
-        }
-        parts.push(KeyRange {
-            lo,
-            hi: range.hi.clone(),
-        });
-        parts
-    }
-
     /// The name index (read-only).
     pub fn name_index(&self) -> &NameIndex {
         &self.name_index
@@ -1381,103 +1286,4 @@ mod tests {
     }
     // Full store behavior is exercised via the loader tests in
     // `crate::loader` and the integration tests.
-
-    /// A store whose clustered index spans many pages.
-    fn multi_page_store() -> MassStore {
-        let mut xml = String::from("<root>");
-        for i in 0..3000 {
-            xml.push_str(&format!("<e><v>{i}</v></e>"));
-        }
-        xml.push_str("</root>");
-        let mut store = MassStore::open_memory();
-        store.load_xml("doc", &xml).unwrap();
-        assert!(
-            store.stats().pages >= 16,
-            "need a multi-page store, got {} pages",
-            store.stats().pages
-        );
-        store
-    }
-
-    /// Flat keys of every record a cursor yields over `range`.
-    fn scan_keys(store: &MassStore, range: &KeyRange) -> Vec<Vec<u8>> {
-        let mut cur = crate::cursor::MassCursor::new(store, range.clone());
-        let mut keys = Vec::new();
-        while let Some(e) = cur.next_entry().unwrap() {
-            keys.push(e.key.as_flat().to_vec());
-        }
-        keys
-    }
-
-    #[test]
-    fn partition_range_tiles_the_serial_scan() {
-        let store = multi_page_store();
-        let doc_key = store.documents()[0].doc_key.clone();
-        let range = KeyRange::descendants(&doc_key);
-        let full = scan_keys(&store, &range);
-        for n in [2, 3, 4, 8, 64] {
-            let parts = store.partition_range(&range, n);
-            assert!(!parts.is_empty() && parts.len() <= n);
-            assert_eq!(parts[0].lo, range.lo);
-            assert_eq!(parts.last().unwrap().hi, range.hi);
-            for w in parts.windows(2) {
-                assert_eq!(w[0].hi.as_ref().unwrap(), &w[1].lo);
-            }
-            // Concatenating the morsel scans reproduces the full scan.
-            let tiled: Vec<_> = parts.iter().flat_map(|p| scan_keys(&store, p)).collect();
-            assert_eq!(tiled, full);
-        }
-    }
-
-    #[test]
-    fn partition_range_boundaries_are_page_firsts() {
-        let store = multi_page_store();
-        let doc_key = store.documents()[0].doc_key.clone();
-        let range = KeyRange::subtree(&doc_key);
-        let parts = store.partition_range(&range, 4);
-        assert!(parts.len() >= 2, "multi-page range must actually split");
-        for p in &parts[1..] {
-            assert!(
-                store.index.iter().any(|(first, _)| first == &p.lo),
-                "interior boundary must be a page-first key"
-            );
-        }
-        // Morsels are balanced: no morsel hogs the page budget.
-        let pages = store.index.len();
-        let runs: Vec<usize> = parts.iter().map(|p| scan_keys(&store, p).len()).collect();
-        assert!(runs.iter().all(|&r| r > 0));
-        assert!(pages >= parts.len());
-    }
-
-    #[test]
-    fn partition_range_unbounded_uses_index_depth() {
-        let store = multi_page_store();
-        // Descendants-of-root is unbounded above; the index still knows
-        // where the data ends, so the split must cover everything.
-        let range = KeyRange::descendants(&FlexKey::root());
-        assert_eq!(range.hi, None);
-        let full = scan_keys(&store, &range);
-        let parts = store.partition_range(&range, 4);
-        assert!(parts.len() >= 2);
-        assert_eq!(parts.last().unwrap().hi, None);
-        let tiled: Vec<_> = parts.iter().flat_map(|p| scan_keys(&store, p)).collect();
-        assert_eq!(tiled, full);
-    }
-
-    #[test]
-    fn partition_range_degenerate_cases() {
-        let empty = MassStore::open_memory();
-        let all = KeyRange::all();
-        assert_eq!(empty.partition_range(&all, 4), vec![all.clone()]);
-
-        let mut small = MassStore::open_memory();
-        small.load_xml("doc", "<a><b/></a>").unwrap();
-        // Single page: nothing to split.
-        assert_eq!(small.partition_range(&all, 4), vec![all.clone()]);
-        assert_eq!(small.partition_range(&all, 1), vec![all.clone()]);
-        assert_eq!(
-            small.partition_range(&KeyRange::empty(), 4),
-            vec![KeyRange::empty()]
-        );
-    }
 }

@@ -306,9 +306,7 @@ fn follow_once(ctx: &SyncCtx) -> std::io::Result<()> {
 fn apply_batch(ctx: &SyncCtx, batch: &[(u64, WalRecord)]) -> std::io::Result<()> {
     let commit_lsn = batch.last().map(|(l, _)| *l).unwrap_or(0);
     let mut engine = ctx.engine.write();
-    let store = engine
-        .store_mut()
-        .map_err(|e| proto_err(format!("writer gate: {e}")))?;
+    let store = engine.store_mut();
     store
         .apply_replicated(batch)
         .map_err(|e| proto_err(format!("apply batch at {commit_lsn}: {e}")))?;
@@ -371,9 +369,7 @@ fn install_snapshot(ctx: &SyncCtx, reader: &mut impl BufRead) -> std::io::Result
     fresh
         .attach_replication(ctx.config.server.repl_retain)
         .map_err(|e| proto_err(format!("attach ring: {e}")))?;
-    engine
-        .replace_store(fresh)
-        .map_err(|e| proto_err(format!("install snapshot: {e}")))?;
+    engine.replace_store(fresh);
     drop(engine);
     ctx.server_shared.cache().clear();
     ctx.status.snapshots.fetch_add(1, Ordering::Relaxed);

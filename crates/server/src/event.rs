@@ -1,10 +1,10 @@
 //! The nonblocking server core: one event-loop thread multiplexing
 //! every client connection over [`crate::poll::Poller`].
 //!
-//! The thread-per-connection core (PR 1) burns one OS thread per
-//! socket, busy or idle — at hundreds of clients the scheduler, stacks,
-//! and context switches become the ceiling, not the engine. This core
-//! keeps exactly one thread for *all* connection I/O:
+//! A thread-per-connection design burns one OS thread per socket, busy
+//! or idle — at hundreds of clients the scheduler, stacks, and context
+//! switches become the ceiling, not the engine. This core keeps exactly
+//! one thread for *all* connection I/O:
 //!
 //! - The listener and every connection socket are nonblocking and
 //!   registered with a level-triggered poller; an idle connection costs
@@ -14,7 +14,7 @@
 //!   written back-to-back without waiting for the client to read the
 //!   previous one. Per-connection *execution* order is preserved (the
 //!   next request dispatches when the previous one completes), so the
-//!   protocol semantics are identical to the threaded core — like Redis
+//!   protocol semantics are those of one request at a time — like Redis
 //!   pipelining, the win is removing round-trip gaps, not reordering.
 //! - Heavy work never runs on the loop. A [`LineService`] either
 //!   answers a line inline (cheap protocol verbs) or dispatches it to a

@@ -1,9 +1,8 @@
 //! # vamana-server
 //!
 //! A concurrent query service over one shared VAMANA engine: a TCP
-//! line protocol multiplexed by a nonblocking event core (or a
-//! thread-per-connection core, see [`CoreMode`]), executed by a worker
-//! thread pool, with a compiled-plan cache, bounded-queue admission
+//! line protocol multiplexed by a nonblocking event core, executed by a
+//! worker thread pool, with a compiled-plan cache, bounded-queue admission
 //! control, per-query deadlines, and a metrics registry.
 //!
 //! ## Protocol
@@ -42,15 +41,11 @@
 //!
 //! ## Threading model
 //!
-//! Two connection cores share everything below the parser:
+//! One event-loop thread owns every connection socket nonblockingly
+//! (see [`event`]; epoll, so Linux only); requests are parsed pipelined
+//! and idle connections cost no threads.
 //!
-//! - [`CoreMode::Event`] (default): one event-loop thread owns every
-//!   connection socket nonblockingly (see [`event`]); requests are
-//!   parsed pipelined and idle connections cost no threads.
-//! - [`CoreMode::Threaded`]: one (detached) thread per connection, kept
-//!   as the pre-PR-9 baseline for comparison benchmarks.
-//!
-//! Under either core, a fixed worker pool executes jobs against the
+//! Below the loop, a fixed worker pool executes jobs against the
 //! shared engine. The queue between parser and workers is bounded:
 //! a full queue rejects at admission with `ERR busy` rather than
 //! queueing unboundedly, and every job carries a deadline checked when
@@ -62,10 +57,8 @@
 #![deny(missing_docs)]
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -88,19 +81,6 @@ use event::{Completions, ConnId, Dispatch, LineService};
 use metrics::ActiveGuard;
 use pool::WorkerPool;
 
-/// Which connection core the server runs (the worker pool underneath is
-/// the same either way).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CoreMode {
-    /// Nonblocking event loop: one thread for all connection I/O,
-    /// pipelined request parsing, idle connections cost no threads.
-    /// Requires epoll (Linux).
-    Event,
-    /// One thread per connection — the PR 1 design, kept for baseline
-    /// benchmarks and as a portability fallback.
-    Threaded,
-}
-
 /// Server tunables.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -116,10 +96,6 @@ pub struct ServerConfig {
     pub default_limit: usize,
     /// Characters of string-value shown per row.
     pub value_width: usize,
-    /// Width of the engine's intra-query scan pool, applied to the
-    /// engine at bind time. `0` leaves the engine's own setting (one
-    /// scan worker per core by default) untouched.
-    pub scan_workers: usize,
     /// Committed WAL frames retained for replication catch-up on durable
     /// stores. A follower whose resume LSN has aged out of this window
     /// is snapshot-shipped instead of streamed.
@@ -132,8 +108,6 @@ pub struct ServerConfig {
     /// return a redirect error naming the primary, and `LAG`/`STATS`
     /// report the sync status the replica runtime keeps here.
     pub replica: Option<ReplicaRole>,
-    /// Connection core; see [`CoreMode`].
-    pub core: CoreMode,
 }
 
 impl Default for ServerConfig {
@@ -145,11 +119,9 @@ impl Default for ServerConfig {
             plan_cache_size: 256,
             default_limit: 20,
             value_width: 200,
-            scan_workers: 0,
             repl_retain: vamana_mass::DEFAULT_RETAIN_FRAMES,
             feed_heartbeat: Duration::from_millis(200),
             replica: None,
-            core: CoreMode::Event,
         }
     }
 }
@@ -299,31 +271,18 @@ impl Request {
     }
 }
 
-/// Where a job's response goes.
-pub(crate) enum ReplyTo {
-    /// Threaded core: the connection thread blocks on this channel.
-    Sync(SyncSender<Result<Outcome, ServerError>>),
-    /// Event core: serialized bytes are delivered to the loop.
-    Event {
-        completions: Completions,
-        conn: ConnId,
-        seq: u64,
-    },
+/// Where a job's response goes: its serialized bytes are delivered to
+/// the event loop as request `seq` of connection `conn`.
+pub(crate) struct ReplyTo {
+    completions: Completions,
+    conn: ConnId,
+    seq: u64,
 }
 
 impl ReplyTo {
     fn deliver(self, result: Result<Outcome, ServerError>) {
-        match self {
-            // A send error means the client hung up; nothing to do.
-            ReplyTo::Sync(tx) => {
-                let _ = tx.send(result);
-            }
-            ReplyTo::Event {
-                completions,
-                conn,
-                seq,
-            } => completions.complete(conn, seq, reply_bytes(&result)),
-        }
+        self.completions
+            .complete(self.conn, self.seq, reply_bytes(&result));
     }
 }
 
@@ -747,7 +706,8 @@ fn resolve_doc(engine: &Engine, token: &str) -> Option<DocId> {
 /// Applies an `INSERT`/`DELETE` on the single-writer lane: serialize
 /// against other writers first (deadline still enforced), then take the
 /// engine write lock and route the mutation through
-/// [`Engine::apply_update`] — and through the WAL on durable stores.
+/// [`SharedEngine::apply_update`] — and through the WAL on durable
+/// stores. The reply's `writer_wait` is the time that lock took.
 fn run_update(
     shared: &Shared,
     doc: &str,
@@ -758,21 +718,18 @@ fn run_update(
     if Instant::now() >= deadline {
         return Err(ServerError::Timeout(shared.config.query_timeout));
     }
-    let mut engine = shared.engine.write();
-    let Some(doc) = resolve_doc(&engine, doc) else {
+    // Document ids are load ordinals and never change, so resolving
+    // under the read lock is as good as under the write lock.
+    let Some(doc) = resolve_doc(&shared.engine.read(), doc) else {
         return Err(ServerError::Query(format!("no such document {doc}")));
     };
     let start = Instant::now();
-    let outcome = engine.apply_update(doc, op).map_err(query_err)?;
+    let outcome = shared.engine.apply_update(doc, op).map_err(query_err)?;
     // Sweep the written document's superseded plans out of the cache;
     // without this every (xpath, old-generation) pair would linger until
     // individually probed or LRU-evicted.
     shared.cache.purge_doc(doc, outcome.doc_generation);
     shared.metrics.updates.fetch_add(1, Ordering::Relaxed);
-    shared.metrics.writer_wait_us.fetch_add(
-        outcome.profile.writer_wait.as_micros() as u64,
-        Ordering::Relaxed,
-    );
     Ok(Outcome::Updated {
         matched: outcome.matched,
         inserted: outcome.inserted,
@@ -919,9 +876,6 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         {
             let mut guard = engine.write();
-            if config.scan_workers > 0 {
-                guard.options_mut().parallel_workers = config.scan_workers;
-            }
             // Semantic result caching is opt-in per process: the
             // VAMANA_VIEWS environment variable enables it on servers
             // whose embedder did not set `EngineOptions::views` itself
@@ -948,10 +902,7 @@ impl Server {
             if guard.store().is_durable() && guard.store().replication_log().is_none() {
                 guard
                     .store_mut()
-                    .and_then(|s| {
-                        s.attach_replication(config.repl_retain)
-                            .map_err(vamana_core::EngineError::Storage)
-                    })
+                    .attach_replication(config.repl_retain)
                     .map_err(|e| std::io::Error::other(e.to_string()))?;
             }
         }
@@ -991,17 +942,9 @@ impl Server {
     }
 
     /// Serves until [`ServerHandle::stop`] flips the stop flag (or
-    /// forever when run directly), on the configured [`CoreMode`].
-    pub fn run(self) -> std::io::Result<()> {
-        match self.shared.config.core {
-            CoreMode::Event => self.run_event(),
-            CoreMode::Threaded => self.run_threaded(),
-        }
-    }
-
-    /// The nonblocking core: one event-loop thread for every
+    /// forever when run directly): one event-loop thread for every
     /// connection (see [`event`]).
-    fn run_event(self) -> std::io::Result<()> {
+    pub fn run(self) -> std::io::Result<()> {
         let completions = Completions::new()?;
         let service = Arc::new(EventService {
             shared: Arc::clone(&self.shared),
@@ -1013,30 +956,6 @@ impl Server {
         event::run_event_loop(self.listener, service, completions, move || {
             shared.stopping.load(Ordering::SeqCst)
         })
-    }
-
-    /// The PR 1 core: accepted connections get their own thread; the
-    /// accept loop itself never does protocol work.
-    fn run_threaded(self) -> std::io::Result<()> {
-        for stream in self.listener.incoming() {
-            if self.shared.stopping.load(Ordering::SeqCst) {
-                break;
-            }
-            let stream = match stream {
-                Ok(s) => s,
-                Err(_) => continue,
-            };
-            self.shared
-                .metrics
-                .connections
-                .fetch_add(1, Ordering::Relaxed);
-            let shared = Arc::clone(&self.shared);
-            let pool = Arc::clone(&self.pool);
-            std::thread::spawn(move || {
-                let _ = serve_connection(stream, &shared, &pool);
-            });
-        }
-        Ok(())
     }
 
     /// Runs the connection core on a background thread, returning a
@@ -1085,8 +1004,7 @@ impl ServerHandle {
             return;
         };
         self.shared.stopping.store(true, Ordering::SeqCst);
-        // Wake the core with a no-op connection (works for both the
-        // blocking accept loop and the poller).
+        // Wake the poller with a no-op connection.
         let _ = TcpStream::connect(self.addr);
         let _ = thread.join();
     }
@@ -1114,8 +1032,7 @@ enum Parsed {
     Feed(u64),
 }
 
-/// Parses one request line into a [`Parsed`] action. Shared verbatim by
-/// both connection cores so the grammar cannot drift between them.
+/// Parses one request line into a [`Parsed`] action.
 fn parse_line(config: &ServerConfig, request: &str) -> Parsed {
     let (verb, rest) = match request.split_once(' ') {
         Some((v, r)) => (v, r.trim()),
@@ -1235,7 +1152,7 @@ impl EventService {
         let job = Job {
             limit: self.limit_for(conn),
             deadline: Instant::now() + self.shared.config.query_timeout,
-            reply: ReplyTo::Event {
+            reply: ReplyTo {
                 completions: self.completions.clone(),
                 conn,
                 seq,
@@ -1298,78 +1215,7 @@ impl LineService for EventService {
     }
 }
 
-/// Parses and answers requests from one client until QUIT/EOF
-/// (threaded core).
-fn serve_connection(
-    stream: TcpStream,
-    shared: &Arc<Shared>,
-    pool: &Arc<WorkerPool<Job>>,
-) -> std::io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    let mut limit = shared.config.default_limit;
-    let mut line = String::new();
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Ok(()); // EOF
-        }
-        let request = line.trim_end_matches(['\n', '\r']);
-        if request.is_empty() {
-            continue;
-        }
-        match parse_line(&shared.config, request) {
-            Parsed::Inline(reply) => writeln!(writer, "{reply}")?,
-            Parsed::Limit(n) => {
-                limit = n;
-                writeln!(writer, "OK limit {n}")?;
-            }
-            Parsed::Quit => {
-                writeln!(writer, "OK bye")?;
-                return Ok(());
-            }
-            Parsed::Feed(from) => {
-                // The connection becomes a one-way frame feed; it never
-                // returns to the line protocol.
-                return feed::serve_feed(writer, shared, from);
-            }
-            Parsed::Job(request) | Parsed::Control(request) => {
-                let control = request.is_control();
-                let (tx, rx) = std::sync::mpsc::sync_channel(1);
-                let job = Job {
-                    request,
-                    limit,
-                    deadline: Instant::now() + shared.config.query_timeout,
-                    reply: ReplyTo::Sync(tx),
-                };
-                let submitted = if control {
-                    pool.submit(job)
-                } else {
-                    pool.try_submit(job)
-                };
-                if submitted.is_err() {
-                    shared
-                        .metrics
-                        .busy_rejections
-                        .fetch_add(1, Ordering::Relaxed);
-                    writeln!(writer, "ERR {}", ServerError::Busy)?;
-                    writer.flush()?;
-                    continue;
-                }
-                let result = match rx.recv() {
-                    Ok(result) => result,
-                    // Worker pool shut down before replying.
-                    Err(_) => Err(ServerError::Query("busy server shutting down".into())),
-                };
-                writer.write_all(&reply_bytes(&result))?;
-            }
-        }
-        writer.flush()?;
-    }
-}
-
-/// Serializes a job result into protocol bytes — the single rendering
-/// path both cores share.
+/// Serializes a job result into protocol bytes.
 fn reply_bytes(result: &Result<Outcome, ServerError>) -> Vec<u8> {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -1538,11 +1384,6 @@ fn render_stats(shared: &Shared) -> Vec<String> {
     out.push(format!("STAT view_evictions {}", views.evictions));
     out.push(format!("STAT view_bytes {}", views.bytes));
     out.push(format!("STAT view_views {}", views.views));
-    let par = engine.parallel_stats();
-    out.push(format!("STAT scan_workers {}", engine.effective_workers()));
-    out.push(format!("STAT pool_par_morsels {}", par.morsels));
-    out.push(format!("STAT pool_par_batches {}", par.worker_batches));
-    out.push(format!("STAT pool_par_merge_stalls {}", par.merge_stalls));
     let (fused_chains, fused_steps) = engine.fused_stats();
     out.push(format!("STAT fused_chains {fused_chains}"));
     out.push(format!("STAT fused_steps {fused_steps}"));
@@ -1558,7 +1399,7 @@ fn render_stats(shared: &Shared) -> Vec<String> {
     out.push(format!("STAT wal_replayed_lsn {}", wal.replayed_lsn));
     out.push(format!(
         "STAT engine_writer_wait_us {}",
-        engine.writer_wait_total().as_micros()
+        shared.engine.writer_wait_total().as_micros()
     ));
     match &shared.config.replica {
         Some(role) => {
@@ -1665,7 +1506,6 @@ mod tests {
         assert!(c.workers >= 1);
         assert!(c.queue_depth >= c.workers);
         assert!(c.query_timeout > Duration::ZERO);
-        assert_eq!(c.core, CoreMode::Event);
     }
 
     #[test]

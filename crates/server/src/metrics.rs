@@ -80,9 +80,6 @@ pub struct Metrics {
     pub updates: AtomicU64,
     /// Completed `CHECKPOINT`s.
     pub checkpoints: AtomicU64,
-    /// Cumulative microseconds update workers spent parked at the
-    /// engine's epoch gate waiting for in-flight readers to drain.
-    pub writer_wait_us: AtomicU64,
     /// Workers currently executing a job (gauge).
     pub active_workers: AtomicU64,
     /// Connections accepted over the server's lifetime.
@@ -107,7 +104,6 @@ impl Metrics {
         out.push(format!("STAT pins_saved {}", c(&self.pins_saved)));
         out.push(format!("STAT updates_total {}", c(&self.updates)));
         out.push(format!("STAT checkpoints_total {}", c(&self.checkpoints)));
-        out.push(format!("STAT writer_wait_us {}", c(&self.writer_wait_us)));
         out.push(format!("STAT active_workers {}", c(&self.active_workers)));
         out.push(format!("STAT connections_total {}", c(&self.connections)));
         out.push(format!(

@@ -1,7 +1,6 @@
 //! Worker pool with bounded-queue admission control.
 //!
-//! Connection handlers (a thread per connection on the threaded core,
-//! the event loop on the nonblocking core) parse requests and *submit*
+//! The connection core (the event loop) parses requests and *submits*
 //! them; a fixed set of worker threads executes them. The queue between
 //! the two is bounded: when it is full, submission fails immediately
 //! and the client gets a `busy` response instead of the server

@@ -219,27 +219,6 @@ fn query_errors_are_reported_not_fatal() {
 }
 
 #[test]
-fn scan_worker_config_and_parallel_stats_are_reported() {
-    let handle = spawn_server(ServerConfig {
-        scan_workers: 3,
-        ..ServerConfig::default()
-    });
-    let mut client = Client::connect(&handle);
-    let stats = client.round_trip("STATS");
-    assert_eq!(stat_value(&stats, "scan_workers"), 3);
-    // Counters are present from the first STATS on (zero until a query
-    // clears the parallel threshold and fans out).
-    for key in [
-        "pool_par_morsels",
-        "pool_par_batches",
-        "pool_par_merge_stalls",
-    ] {
-        stat_value(&stats, key);
-    }
-    handle.stop();
-}
-
-#[test]
 fn explain_and_analyze_report_plans_over_the_wire() {
     let handle = spawn_server(ServerConfig::default());
     let mut client = Client::connect(&handle);
@@ -407,27 +386,6 @@ fn pipelined_requests_answer_in_order_on_one_connection() {
     assert!(lines[6].starts_with("OK scalar"), "{lines:?}");
     assert_eq!(lines[7], "OK bye");
     assert_eq!(lines.len(), 8, "{lines:?}");
-}
-
-#[test]
-fn threaded_core_still_serves_the_full_protocol() {
-    let handle = spawn_server(ServerConfig {
-        core: vamana_server::CoreMode::Threaded,
-        ..ServerConfig::default()
-    });
-    let mut client = Client::connect(&handle);
-    assert_eq!(client.round_trip("PING"), vec!["OK pong"]);
-    let rows = client.round_trip("QUERY //province");
-    assert!(rows.last().unwrap().starts_with("OK "), "{rows:?}");
-    let docs = client.round_trip("DOCS");
-    assert!(
-        docs.last().unwrap().starts_with("OK 1 document(s)"),
-        "{docs:?}"
-    );
-    let stats = client.round_trip("STATS");
-    assert!(stat_value(&stats, "queries_total") >= 1, "{stats:?}");
-    assert_eq!(client.round_trip("QUIT"), vec!["OK bye"]);
-    handle.stop();
 }
 
 #[test]

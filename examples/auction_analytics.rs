@@ -85,7 +85,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .to_vec();
         vamana::flex::FlexKey::from_flat(flat)
     };
-    let store = engine.store_mut()?;
+    let store = engine.store_mut();
     let new_person = store.append_element(&people_key, "person")?;
     let name_el = store.append_element(&new_person, "name")?;
     store.append_text(&name_el, "Freshly Inserted")?;

@@ -51,9 +51,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .to_vec();
             vamana::flex::FlexKey::from_flat(flat)
         };
-        let p = engine.store_mut()?.append_element(&people_key, "person")?;
-        let n = engine.store_mut()?.append_element(&p, "name")?;
-        engine.store_mut()?.append_text(&n, "Persisted Person")?;
+        let p = engine.store_mut().append_element(&people_key, "person")?;
+        let n = engine.store_mut().append_element(&p, "name")?;
+        engine.store_mut().append_text(&n, "Persisted Person")?;
         engine.checkpoint()?;
         println!("session 2: inserted one person and checkpointed");
     }

@@ -161,13 +161,9 @@ fn updates_are_visible_to_queries_and_statistics() {
             .to_vec();
         vamana::flex::FlexKey::from_flat(flat)
     };
-    let p = e
-        .store_mut()
-        .unwrap()
-        .append_element(&people_key, "person")
-        .unwrap();
-    let n = e.store_mut().unwrap().append_element(&p, "name").unwrap();
-    e.store_mut().unwrap().append_text(&n, "Edge Case").unwrap();
+    let p = e.store_mut().append_element(&people_key, "person").unwrap();
+    let n = e.store_mut().append_element(&p, "name").unwrap();
+    e.store_mut().append_text(&n, "Edge Case").unwrap();
 
     assert_eq!(e.query("//person").unwrap().len(), before + 1);
     assert_eq!(e.query("//person[name='Edge Case']").unwrap().len(), 1);
@@ -180,7 +176,7 @@ fn updates_are_visible_to_queries_and_statistics() {
         explain.applied
     );
 
-    e.store_mut().unwrap().delete_subtree(&p).unwrap();
+    e.store_mut().delete_subtree(&p).unwrap();
     assert_eq!(e.query("//person").unwrap().len(), before);
     assert_eq!(e.query("//person[name='Edge Case']").unwrap().len(), 0);
 }
