@@ -4,6 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use vamana_bench::document;
+use vamana_core::exec::BATCH_SIZE;
 use vamana_flex::{Axis, FlexKey, KeyRange};
 use vamana_mass::axes::{axis_stream, NodeFilter};
 use vamana_mass::{MassCursor, MassStore, RecordKind};
@@ -77,11 +78,9 @@ fn bench_primitives(c: &mut Criterion) {
                 NodeFilter::element(person),
             )
             .expect("stream");
-            let mut n = 0;
-            while s.next().expect("io").is_some() {
-                n += 1;
-            }
-            n
+            let mut out = Vec::new();
+            while s.next_batch(&mut out, BATCH_SIZE).expect("io") > 0 {}
+            out.len()
         })
     });
 
@@ -95,11 +94,9 @@ fn bench_primitives(c: &mut Criterion) {
                 NodeFilter::any(),
             )
             .expect("stream");
-            let mut n = 0;
-            while s.next().expect("io").is_some() {
-                n += 1;
-            }
-            n
+            let mut out = Vec::new();
+            while s.next_batch(&mut out, BATCH_SIZE).expect("io") > 0 {}
+            out.len()
         })
     });
 
@@ -115,7 +112,7 @@ fn bench_primitives(c: &mut Criterion) {
                 NodeFilter::any_element(),
             )
             .expect("stream");
-            s.next().expect("io").is_some()
+            s.next_batch(&mut Vec::new(), 1).expect("io") > 0
         })
     });
 

@@ -154,12 +154,8 @@ fn run_suite(engine: &Engine) -> Phase {
 /// `warm` runs one unmeasured full pass first.
 fn measure_phase(path: &std::path::Path, pool: usize, warm: bool) -> Phase {
     let store = MassStore::open_file(path, pool).expect("reopen store");
-    let mut engine = Engine::new(store);
-    {
-        let opts = engine.options_mut();
-        opts.optimize = true;
-        opts.batched = true;
-    }
+    // Default options: optimizer on, as the server runs.
+    let engine = Engine::new(store);
     if warm {
         run_suite(&engine);
     }

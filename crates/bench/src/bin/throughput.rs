@@ -1,5 +1,5 @@
-//! Throughput benchmark: scalar vs batched execution, queries/sec per
-//! worker count, against one shared engine.
+//! Throughput benchmark: queries/sec of the batched pipeline per worker
+//! count, against one shared engine.
 //!
 //! ```sh
 //! cargo run --release -p vamana-bench --bin throughput \
@@ -34,8 +34,8 @@
 //! report (`BENCH_5.json`) compares reader p50/p99 across the two plus
 //! the writer's wait for the engine write lock.
 //!
-//! Two query suites run in two execution modes over the same build and
-//! the same loaded document:
+//! Two query suites run over the same build and the same loaded
+//! document:
 //!
 //! - `scan`: structural XMark scans ([`SCAN_QUERIES`]) — wildcard and
 //!   kind tests whose steps walk clustered MASS pages; these are the
@@ -43,9 +43,9 @@
 //! - `eval`: the paper's evaluation mix (Q1–Q5), mostly index-only; it
 //!   bounds how much batching can help non-scan work.
 //!
-//! In both modes (`scalar`, `batched`) the configured worker count `w`
-//! is the number of *driver* threads (inter-query concurrency), each
-//! draining serial streams.
+//! The configured worker count `w` is the number of *driver* threads
+//! (inter-query concurrency), each draining serial streams batch by
+//! batch.
 //!
 //! Plans are compiled and optimized once per query before measurement,
 //! as the serving layer's plan cache would; each run drains the result
@@ -70,7 +70,7 @@ struct Args {
     out: Option<String>,
     analyze: bool,
     /// `Some(write_pct)`: run the mixed read/write benchmark instead of
-    /// the execution-mode comparison.
+    /// the per-suite throughput windows.
     mixed: Option<u32>,
     /// `Some(n)`: run the replicated-read benchmark instead — aggregate
     /// read QPS over a primary plus 0..=n replicas, and a lag-convergence
@@ -181,10 +181,9 @@ fn parse_args() -> Args {
     args
 }
 
-/// One suite in one mode at one worker count.
+/// One suite at one worker count.
 struct Sample {
     suite: &'static str,
-    mode: &'static str,
     /// Driver threads issuing queries.
     workers: usize,
     queries: u64,
@@ -267,46 +266,23 @@ fn main() {
     }
 
     println!(
-        "{:>6} {:>9} {:>8} {:>12} {:>14} {:>12}",
-        "suite", "mode", "workers", "queries", "queries/sec", "speedup"
+        "{:>6} {:>8} {:>12} {:>14}",
+        "suite", "workers", "queries", "queries/sec"
     );
     let mut samples: Vec<Sample> = Vec::new();
     for (suite, compiled) in &plans {
         for &workers in &args.workers {
-            for (mode, batched) in [("scalar", false), ("batched", true)] {
-                engine.write().options_mut().batched = batched;
-                let sample = run_window(
-                    &engine,
-                    compiled,
-                    suite,
-                    mode,
-                    workers,
-                    batched,
-                    args.window,
-                );
-                // batched vs scalar at the same driver count.
-                let speedup = match mode {
-                    "batched" => samples
-                        .iter()
-                        .rfind(|s| s.suite == *suite && s.mode == "scalar" && s.workers == workers)
-                        .map(|s| format!("{:.2}x", sample.qps() / s.qps()))
-                        .unwrap_or_default(),
-                    _ => "-".to_string(),
-                };
-                println!(
-                    "{:>6} {:>9} {:>8} {:>12} {:>14.1} {:>12}",
-                    suite,
-                    mode,
-                    workers,
-                    sample.queries,
-                    sample.qps(),
-                    speedup
-                );
-                samples.push(sample);
-            }
+            let sample = run_window(&engine, compiled, suite, workers, args.window);
+            println!(
+                "{:>6} {:>8} {:>12} {:>14.1}",
+                suite,
+                workers,
+                sample.queries,
+                sample.qps()
+            );
+            samples.push(sample);
         }
     }
-    engine.write().options_mut().batched = true;
 
     let json = render_json(&args, &suites, &samples);
     let out = args.out.as_deref().unwrap_or("throughput.json");
@@ -349,9 +325,6 @@ impl MixedPhase {
 /// operations. The report compares reader p50/p99 across phases and
 /// records how long the writer waited for the engine write lock.
 fn run_mixed(args: &Args, engine: &Arc<SharedEngine>, readers: usize, write_pct: u32) {
-    // Mixed mode measures the serving configuration: batched execution
-    // (inter-query concurrency comes from the readers).
-    engine.write().options_mut().batched = true;
     let plans: Vec<QueryPlan> = SCAN_QUERIES
         .iter()
         .map(|(name, xpath)| {
@@ -668,11 +641,7 @@ fn run_views_phase(
     let mut store = MassStore::open_memory();
     store.load_xml("auction", xml).expect("load xmark");
     let mut base = Engine::new(store);
-    {
-        let opts = base.options_mut();
-        opts.batched = true;
-        opts.views = enabled;
-    }
+    base.options_mut().views = enabled;
     let engine = Arc::new(SharedEngine::new(base));
 
     // Two full passes cross the default admission threshold, so every
@@ -800,7 +769,6 @@ fn run_fused(args: &Args, which: &str) {
         let mut base = Engine::new(store);
         {
             let opts = base.options_mut();
-            opts.batched = true;
             opts.fuse = enabled;
             opts.fuse_force = enabled;
         }
@@ -823,9 +791,7 @@ fn run_fused(args: &Args, which: &str) {
                     &engine,
                     std::slice::from_ref(&plan),
                     "scan",
-                    "batched",
                     drivers,
-                    true,
                     args.window,
                 );
                 FusedSample {
@@ -925,9 +891,7 @@ fn run_window(
     engine: &Arc<SharedEngine>,
     plans: &[QueryPlan],
     suite: &'static str,
-    mode: &'static str,
     workers: usize,
-    batched: bool,
     window: Duration,
 ) -> Sample {
     let stop = Arc::new(AtomicBool::new(false));
@@ -948,19 +912,13 @@ fn run_window(
                     let guard = engine.read();
                     let mut stream = guard.stream_plan(plan.clone(), DocId(0)).expect("stream");
                     let mut n = 0u64;
-                    if batched {
-                        loop {
-                            buf.clear();
-                            let k = stream.next_batch(&mut buf, BATCH_SIZE).expect("batch");
-                            if k == 0 {
-                                break;
-                            }
-                            n += k as u64;
+                    loop {
+                        buf.clear();
+                        let k = stream.next_batch(&mut buf, BATCH_SIZE).expect("batch");
+                        if k == 0 {
+                            break;
                         }
-                    } else {
-                        while stream.next().expect("next").is_some() {
-                            n += 1;
-                        }
+                        n += k as u64;
                     }
                     assert!(n > 0, "query produced no rows mid-bench");
                     queries.fetch_add(1, Ordering::Relaxed);
@@ -974,7 +932,6 @@ fn run_window(
     });
     Sample {
         suite,
-        mode,
         workers,
         queries: queries.load(Ordering::Relaxed),
         rows: rows.load(Ordering::Relaxed),
@@ -983,11 +940,10 @@ fn run_window(
 }
 
 /// Hand-rolled JSON (the workspace deliberately has no serde): uniform
-/// per-result metadata plus per-suite speedup summaries keyed by the
-/// worker count.
+/// per-result metadata, one result per suite and worker count.
 fn render_json(args: &Args, suites: &[(&str, &[(&str, &str)]); 2], samples: &[Sample]) -> String {
     let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"throughput_scalar_batched\",\n");
+    out.push_str("  \"bench\": \"throughput_batched\",\n");
     out.push_str(&format!(
         "  \"host_cpus\": {},\n",
         std::thread::available_parallelism()
@@ -1010,9 +966,8 @@ fn render_json(args: &Args, suites: &[(&str, &[(&str, &str)]); 2], samples: &[Sa
     out.push_str("  \"results\": [\n");
     for (i, s) in samples.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"suite\": \"{}\", \"mode\": \"{}\", \"workers\": {}, \"queries\": {}, \"rows\": {}, \"elapsed_ms\": {:.1}, \"qps\": {:.1}}}{}\n",
+            "    {{\"suite\": \"{}\", \"mode\": \"batched\", \"workers\": {}, \"queries\": {}, \"rows\": {}, \"elapsed_ms\": {:.1}, \"qps\": {:.1}}}{}\n",
             s.suite,
-            s.mode,
             s.workers,
             s.queries,
             s.rows,
@@ -1021,29 +976,7 @@ fn render_json(args: &Args, suites: &[(&str, &[(&str, &str)]); 2], samples: &[Sa
             if i + 1 < samples.len() { "," } else { "" }
         ));
     }
-    out.push_str("  ],\n");
-    let suite_names: Vec<&str> = suites.iter().map(|(s, _)| *s).collect();
-    let find = |suite: &str, mode: &str, workers: usize| {
-        samples
-            .iter()
-            .find(|s| s.suite == suite && s.mode == mode && s.workers == workers)
-    };
-    out.push_str("  \"speedup_batched_over_scalar\": {\n");
-    for (i, suite) in suite_names.iter().enumerate() {
-        let mut pairs = Vec::new();
-        for &w in &args.workers {
-            if let (Some(b), Some(s)) = (find(suite, "batched", w), find(suite, "scalar", w)) {
-                pairs.push(format!("\"{w}\": {:.2}", b.qps() / s.qps()));
-            }
-        }
-        out.push_str(&format!("    \"{suite}\": {{{}}}", pairs.join(", ")));
-        out.push_str(if i + 1 < suite_names.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    out.push_str("  }\n}\n");
+    out.push_str("  ]\n}\n");
     out
 }
 

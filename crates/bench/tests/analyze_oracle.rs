@@ -134,17 +134,13 @@ fn assert_actuals_match_oracle(engine: &Engine, dom: &DomEngine, name: &str, xpa
     assert_eq!(root, oracle.len() as u64, "{name}: root actuals");
 }
 
-/// Every XMark suite query's per-operator actuals match the DOM oracle,
-/// in both scalar and batched execution.
+/// Every XMark suite query's per-operator actuals match the DOM oracle.
 #[test]
 fn analyze_actuals_match_dom_oracle_per_operator() {
     let xml = vamana_xmark::generate_string(&config_for_megabytes(0.4));
     let dom = DomEngine::from_xml(&xml).unwrap();
-    let mut engine = vamana_engine(&xml, false); // default plans mirror the path
-    for batched in [false, true] {
-        engine.options_mut().batched = batched;
-        for (name, xpath) in QUERIES.iter().chain(SCAN_QUERIES) {
-            assert_actuals_match_oracle(&engine, &dom, name, xpath);
-        }
+    let engine = vamana_engine(&xml, false); // default plans mirror the path
+    for (name, xpath) in QUERIES.iter().chain(SCAN_QUERIES) {
+        assert_actuals_match_oracle(&engine, &dom, name, xpath);
     }
 }

@@ -1,8 +1,7 @@
 //! The differential matrix: every query of the XMark evaluation and scan
 //! suites, run under every combination of page format (v1, v2),
-//! execution mode (scalar, batched), semantic cache (off, cost-gated,
-//! greedy; each query run cold, warm and hot) and whole-query fusion
-//! (off, cost-gated, forced). Every result must be byte-identical to a
+//! semantic cache (off, cost-gated, greedy; each query run cold, warm
+//! and hot) and whole-query fusion (off, cost-gated, forced). Every result must be byte-identical to a
 //! plain v1 engine's — FLEX keys are deterministic for a given load
 //! order, so whole [`NodeEntry`] sequences compare across stores — and
 //! must agree with the `vamana-baseline` DOM oracle on names and string
@@ -11,7 +10,8 @@
 //! Queries outside the containment or fusable fragment (reverse axes,
 //! sibling axes, value predicates) must pass through those stages
 //! untouched, which the same comparisons check. Cases the matrix cannot
-//! express — raw pipeline tuple order, scalar `evaluate` output, and
+//! express — raw pipeline tuple order under every pull size, scalar
+//! `evaluate` output, and
 //! view compensation over deliberately general views — follow as
 //! separate tests.
 
@@ -52,7 +52,6 @@ enum Fuse {
 #[derive(Debug, Clone, Copy)]
 struct Cell {
     format: StoreFormat,
-    batched: bool,
     views: Views,
     fuse: Fuse,
 }
@@ -61,16 +60,13 @@ impl Cell {
     fn all() -> Vec<Cell> {
         let mut cells = Vec::new();
         for format in [StoreFormat::V1, StoreFormat::V2] {
-            for batched in [false, true] {
-                for views in [Views::Off, Views::CostGated, Views::Greedy] {
-                    for fuse in [Fuse::Off, Fuse::CostGated, Fuse::Forced] {
-                        cells.push(Cell {
-                            format,
-                            batched,
-                            views,
-                            fuse,
-                        });
-                    }
+            for views in [Views::Off, Views::CostGated, Views::Greedy] {
+                for fuse in [Fuse::Off, Fuse::CostGated, Fuse::Forced] {
+                    cells.push(Cell {
+                        format,
+                        views,
+                        fuse,
+                    });
                 }
             }
         }
@@ -81,7 +77,6 @@ impl Cell {
     fn engine(self, xml: &str) -> Engine {
         let mut engine = engine_with_format(xml, self.format);
         let options = engine.options_mut();
-        options.batched = self.batched;
         options.views = self.views != Views::Off;
         options.view_admit_after = 1;
         options.view_greedy = self.views == Views::Greedy;
@@ -170,33 +165,50 @@ fn every_cell_matches_the_plain_engine_and_the_dom_oracle() {
     }
 }
 
-fn drain_stream(engine: &Engine, xpath: &str, batched: bool) -> Vec<NodeEntry> {
+/// Drains a fresh stream of `xpath`, taking each pull's shape from
+/// `pulls` in turn: `0` is one `QueryStream::next`, any other value `n`
+/// one `next_batch(n)`.
+fn drain_stream(engine: &Engine, xpath: &str, pulls: &[usize]) -> Vec<NodeEntry> {
     let mut stream = engine.stream(DOC, xpath).unwrap();
     let mut out = Vec::new();
-    if batched {
-        while stream.next_batch(&mut out, BATCH_SIZE).unwrap() > 0 {}
-    } else {
-        while let Some(t) = stream.next().unwrap() {
-            out.push(t);
+    for &pull in pulls.iter().cycle() {
+        let got = match pull {
+            0 => match stream.next().unwrap() {
+                Some(t) => {
+                    out.push(t);
+                    true
+                }
+                None => false,
+            },
+            n => stream.next_batch(&mut out, n).unwrap() > 0,
+        };
+        if !got {
+            return out;
         }
     }
-    out
+    unreachable!("`pulls` is never empty")
 }
 
-/// Raw pipeline tuple sequences (before duplicate elimination) are
-/// identical in scalar and batched mode, on both page formats —
-/// batching must not reorder tuples anywhere in the plan.
+/// Raw pipeline tuple sequences (before duplicate elimination) do not
+/// depend on how the consumer pulls, on both page formats: one tuple at
+/// a time, single-tuple batches, full batches, and all three
+/// interleaved on one stream must yield the same order — no operator
+/// may reorder, drop or repeat a tuple at a pull boundary.
 #[test]
-fn batched_streams_equal_scalar_streams() {
+fn stream_order_is_independent_of_pull_size() {
     let xml = vamana_bench::document(0.4);
     for format in [StoreFormat::V1, StoreFormat::V2] {
-        let mut engine = engine_with_format(&xml, format);
+        let engine = engine_with_format(&xml, format);
         for (name, xpath) in all_queries() {
-            engine.options_mut().batched = false;
-            let scalar = drain_stream(&engine, xpath, false);
-            engine.options_mut().batched = true;
-            let batched = drain_stream(&engine, xpath, true);
-            assert_eq!(batched, scalar, "{name} ({format:?}): tuple order differs");
+            let full = drain_stream(&engine, xpath, &[BATCH_SIZE]);
+            assert!(!full.is_empty(), "{name}: stream returned nothing");
+            for pulls in [&[0][..], &[1], &[0, 1, BATCH_SIZE, 1, 0, 7]] {
+                assert_eq!(
+                    drain_stream(&engine, xpath, pulls),
+                    full,
+                    "{name} ({format:?}) pulls {pulls:?}: tuple order differs"
+                );
+            }
         }
     }
 }
@@ -231,9 +243,8 @@ fn compensated_rewrites_agree_with_oracle() {
     let xml = vamana_bench::document(0.4);
     let dom = vamana_baseline::dom::DomEngine::from_xml(&xml).unwrap();
     for format in [StoreFormat::V1, StoreFormat::V2] {
-        let mut subject = Cell {
+        let subject = Cell {
             format,
-            batched: true,
             views: Views::Greedy,
             fuse: Fuse::Off,
         }
@@ -248,15 +259,12 @@ fn compensated_rewrites_agree_with_oracle() {
             ("item pred", "//item[mailbox]"),
         ] {
             let oracle = dom.identities(xpath).unwrap();
-            for batched in [false, true] {
-                subject.options_mut().batched = batched;
-                let result = subject.query_doc(DOC, xpath).unwrap();
-                assert_eq!(
-                    identities(&subject, &result),
-                    oracle,
-                    "{name} ({format:?}, batched={batched}): rewrite disagrees with oracle"
-                );
-            }
+            let result = subject.query_doc(DOC, xpath).unwrap();
+            assert_eq!(
+                identities(&subject, &result),
+                oracle,
+                "{name} ({format:?}): rewrite disagrees with oracle"
+            );
         }
         let stats = subject.views().stats();
         assert!(

@@ -30,11 +30,6 @@ pub struct EngineOptions {
     pub set_semantics: bool,
     /// Optimizer iteration bound.
     pub max_opt_iterations: usize,
-    /// Batched (vectorized) execution: pull [`exec::BATCH_SIZE`]-tuple
-    /// batches through the pipeline instead of one tuple at a time.
-    /// Produces the identical tuple sequence; `false` is the scalar
-    /// baseline kept for benchmarking and differential testing.
-    pub batched: bool,
     /// Semantic result caching ([`crate::views`]): materialize the
     /// results of hot fragment queries and answer later queries from
     /// them when containment holds and the cost model agrees. Off by
@@ -69,7 +64,6 @@ impl Default for EngineOptions {
             optimize: true,
             set_semantics: true,
             max_opt_iterations: 8,
-            batched: true,
             views: false,
             view_budget_bytes: 64 << 20,
             view_admit_after: 2,
@@ -153,18 +147,16 @@ pub struct Explain {
     pub opt_trace: crate::opt::OptTrace,
 }
 
-/// A streaming query cursor: owns its plan and pulls tuples through the
-/// pipelined executor one at a time (see [`Engine::stream`]).
+/// A streaming query cursor: owns its plan and pulls batches of tuples
+/// through the pipelined executor (see [`Engine::stream`]).
 pub struct QueryStream<'s> {
     store: &'s MassStore,
     plan: Box<QueryPlan>,
     root_ctx: NodeEntry,
     iter: exec::OpIter<'s>,
     done: bool,
-    /// Batched mode: `next` refills from `pending`, which holds the
-    /// remainder of the last batch *in reverse* so each pull is an O(1)
-    /// pop without cloning.
-    batched: bool,
+    /// The remainder of the batch [`QueryStream::next`] last pulled,
+    /// held *in reverse* so each pull is an O(1) pop without cloning.
     pending: Vec<NodeEntry>,
 }
 
@@ -201,48 +193,22 @@ impl<'s> QueryStream<'s> {
             root_ctx,
             iter,
             done: false,
-            batched: engine.options().batched,
             pending: Vec::new(),
         })
     }
 
     /// Pulls the next tuple in pipeline order, or `None` when exhausted.
-    ///
-    /// In batched mode this refills an internal batch every
-    /// [`exec::BATCH_SIZE`] pulls; the observable tuple sequence is
-    /// identical to scalar mode.
+    /// A thin adapter over [`QueryStream::next_batch`]: it refills an
+    /// internal batch every [`exec::BATCH_SIZE`] pulls.
     #[allow(clippy::should_implement_trait)] // fallible
     pub fn next(&mut self) -> Result<Option<NodeEntry>> {
-        if let Some(t) = self.pending.pop() {
-            return Ok(Some(t));
+        if self.pending.is_empty() {
+            let mut batch = std::mem::take(&mut self.pending);
+            self.next_batch(&mut batch, exec::BATCH_SIZE)?;
+            batch.reverse();
+            self.pending = batch;
         }
-        if self.done {
-            return Ok(None);
-        }
-        let env = Env {
-            plan: &self.plan,
-            store: self.store,
-            root_ctx: &self.root_ctx,
-            stats: None,
-        };
-        if self.batched {
-            if self
-                .iter
-                .next_batch(env, &mut self.pending, exec::BATCH_SIZE)?
-                == 0
-            {
-                self.done = true;
-                return Ok(None);
-            }
-            self.pending.reverse();
-            Ok(self.pending.pop())
-        } else {
-            let item = self.iter.next(env)?;
-            if item.is_none() {
-                self.done = true;
-            }
-            Ok(item)
-        }
+        Ok(self.pending.pop())
     }
 
     /// Pulls up to `max` tuples into `out`, returning how many were
@@ -251,7 +217,7 @@ impl<'s> QueryStream<'s> {
     /// whole batches into its result buffer without per-tuple dispatch.
     pub fn next_batch(&mut self, out: &mut Vec<NodeEntry>, max: usize) -> Result<usize> {
         let start = out.len();
-        // Leftovers from interleaved scalar pulls come first (reversed).
+        // Leftovers from interleaved `next` pulls come first (reversed).
         while out.len() - start < max {
             match self.pending.pop() {
                 Some(t) => out.push(t),
@@ -268,22 +234,7 @@ impl<'s> QueryStream<'s> {
             stats: None,
         };
         let budget = max - (out.len() - start);
-        let produced = if self.batched {
-            self.iter.next_batch(env, out, budget)?
-        } else {
-            let mut n = 0;
-            while n < budget {
-                match self.iter.next(env)? {
-                    Some(t) => {
-                        out.push(t);
-                        n += 1;
-                    }
-                    None => break,
-                }
-            }
-            n
-        };
-        if produced == 0 {
+        if self.iter.next_batch(env, out, budget)? == 0 {
             self.done = true;
         }
         Ok(out.len() - start)
@@ -751,7 +702,7 @@ impl Engine {
             root_ctx: &root_ctx,
             stats: None,
         };
-        exec::run_from_mode(env, None, self.options.set_semantics, self.options.batched)
+        exec::run_from(env, None, self.options.set_semantics)
     }
 
     /// Compiles, (optionally) optimizes, and executes `xpath` on `doc`.
@@ -790,12 +741,7 @@ impl Engine {
             root_ctx: &root_ctx,
             stats: None,
         };
-        exec::run_from_mode(
-            env,
-            Some(ctx),
-            self.options.set_semantics,
-            self.options.batched,
-        )
+        exec::run_from(env, Some(ctx), self.options.set_semantics)
     }
 
     /// Runs `xpath` against every loaded document, concatenating results
@@ -812,10 +758,11 @@ impl Engine {
     }
 
     /// Opens a *streaming* cursor over `xpath` on `doc`: tuples are
-    /// produced one `next()` at a time through the pipelined executor,
-    /// without materializing the result set (the paper's §VII execution
-    /// model as a public API). Tuples arrive in pipeline order; duplicate
-    /// elimination and document-order sorting are the caller's choice.
+    /// produced batch by batch (or one `next()` at a time) through the
+    /// pipelined executor, without materializing the result set (the
+    /// paper's §VII execution model as a public API). Tuples arrive in
+    /// pipeline order; duplicate elimination and document-order sorting
+    /// are the caller's choice.
     pub fn stream<'a>(&'a self, doc: DocId, xpath: &str) -> Result<QueryStream<'a>> {
         let plan = self.compile(xpath)?;
         let plan = if self.options.optimize {
@@ -890,9 +837,7 @@ impl Engine {
     /// returning an [`Analysis`] holding the estimate-stamped plan, the
     /// optimizer's pass log, and the recorded actuals.
     ///
-    /// Execution follows the engine's configured mode (scalar or
-    /// batched) exactly as [`Engine::query_doc`] would — the actual row
-    /// counts are identical in both; only batch/timing counters differ.
+    /// Execution runs the same pipeline [`Engine::query_doc`] does.
     pub fn analyze_doc(&self, doc: DocId, xpath: &str) -> Result<Analysis> {
         let buffer_before = self.store().buffer_pool().stats();
         let start = std::time::Instant::now();
@@ -931,7 +876,7 @@ impl Engine {
             root_ctx: &root_ctx,
             stats: Some(&stats),
         };
-        let out = exec::run_from_mode(env, None, self.options.set_semantics, self.options.batched)?;
+        let out = exec::run_from(env, None, self.options.set_semantics)?;
         let elapsed = start.elapsed();
         let actuals = stats.snapshot();
         let buffer_after = self.store().buffer_pool().stats();
@@ -1420,9 +1365,6 @@ mod tests {
         let a = e.analyze_doc(doc, "//person/*//*").unwrap();
         assert_eq!(a.view(), Some("//person"), "{}", a.render());
         assert!(a.profile.fused_chains >= 1, "{}", a.render());
-        assert_eq!(e.query_doc(doc, "//person/*//*").unwrap(), want);
-        // Scalar (unbatched) fused execution is the differential oracle.
-        e.options_mut().batched = false;
         assert_eq!(e.query_doc(doc, "//person/*//*").unwrap(), want);
     }
 

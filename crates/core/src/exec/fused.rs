@@ -24,7 +24,7 @@
 //! [`MassCursor::next_batch_where`], so every page the chain touches is
 //! pinned exactly once regardless of how many steps were collapsed.
 
-use super::{anchor_for, build_iter, Env, OpIter, OpState};
+use super::{anchor_for, build_iter, drain, into_document_order, Env, OpIter, OpState};
 use crate::error::{EngineError, Result};
 use crate::plan::{ContextSource, FusedNode, OpId, Operator, TestSpec};
 use vamana_flex::{Axis, FlexKey, KeyRange};
@@ -158,7 +158,8 @@ impl Matcher {
 /// Cursor for a [`Operator::FusedScan`]: one clustered scan per context
 /// anchor, the whole chain matched per record.
 pub struct FusedIter<'s> {
-    op: OpId,
+    /// The plan operator this cursor executes (analyze attribution).
+    pub(super) op: OpId,
     state: OpState,
     /// Context stream, drained once at initialization.
     context: Option<Box<OpIter<'s>>>,
@@ -174,9 +175,6 @@ pub struct FusedIter<'s> {
     /// result, sorted and deduplicated, served in chunks.
     materialized: Option<Vec<NodeEntry>>,
     mat_pos: usize,
-    /// Scalar-`next` staging buffer.
-    scratch: Vec<NodeEntry>,
-    scratch_pos: usize,
 }
 
 impl<'s> FusedIter<'s> {
@@ -245,8 +243,6 @@ impl<'s> FusedIter<'s> {
             },
             materialized: None,
             mat_pos: 0,
-            scratch: Vec::new(),
-            scratch_pos: 0,
         })
     }
 
@@ -260,11 +256,8 @@ impl<'s> FusedIter<'s> {
         }
         match self.context.take() {
             Some(mut ctx) => {
-                while let Some(t) = ctx.next(env)? {
-                    self.contexts.push(t);
-                }
-                self.contexts.sort_by(|a, b| a.key.cmp(&b.key));
-                self.contexts.dedup_by(|a, b| a.key == b.key);
+                self.contexts = drain(env, &mut ctx)?;
+                into_document_order(&mut self.contexts);
             }
             None => self
                 .contexts
@@ -396,7 +389,9 @@ impl<'s> FusedIter<'s> {
         }
     }
 
-    fn next_batch_inner(
+    /// Pulls up to `max` matches into `out`; a short count means the
+    /// chain is exhausted.
+    pub fn next_batch(
         &mut self,
         env: Env<'_, 's>,
         out: &mut Vec<NodeEntry>,
@@ -423,53 +418,6 @@ impl<'s> FusedIter<'s> {
             self.state = OpState::OutOfTuples;
         }
         Ok(n)
-    }
-
-    /// Batched pull with the standard analyze instrumentation (pool
-    /// probe/pin deltas credit the scan's page traffic to this operator).
-    pub fn next_batch(
-        &mut self,
-        env: Env<'_, 's>,
-        out: &mut Vec<NodeEntry>,
-        max: usize,
-    ) -> Result<usize> {
-        let Some(stats) = env.stats else {
-            return self.next_batch_inner(env, out, max);
-        };
-        let (p0, pin0) = env.store.buffer_pool().probe_pin_counts();
-        let t0 = std::time::Instant::now();
-        let got = self.next_batch_inner(env, out, max)?;
-        let (p1, pin1) = env.store.buffer_pool().probe_pin_counts();
-        stats.add_invocation(self.op);
-        stats.add_batch(self.op);
-        stats.add_rows(self.op, got as u64);
-        stats.add_nanos(self.op, t0.elapsed().as_nanos() as u64);
-        stats.add_probe_pins(self.op, p1.saturating_sub(p0), pin1.saturating_sub(pin0));
-        Ok(got)
-    }
-
-    /// Scalar pull: staged through an internal batch so the scan still
-    /// amortizes page pins; the tuple sequence is identical to the
-    /// batched one.
-    pub fn next(&mut self, env: Env<'_, 's>) -> Result<Option<NodeEntry>> {
-        if self.scratch_pos >= self.scratch.len() {
-            let mut scratch = std::mem::take(&mut self.scratch);
-            scratch.clear();
-            self.scratch_pos = 0;
-            self.next_batch_inner(env, &mut scratch, super::BATCH_SIZE)?;
-            self.scratch = scratch;
-        }
-        let t = self.scratch.get(self.scratch_pos).cloned();
-        if t.is_some() {
-            self.scratch_pos += 1;
-        }
-        if let Some(stats) = env.stats {
-            stats.add_invocation(self.op);
-            if t.is_some() {
-                stats.add_rows(self.op, 1);
-            }
-        }
-        Ok(t)
     }
 }
 

@@ -17,13 +17,12 @@ pub mod value;
 use crate::error::{EngineError, Result};
 use crate::plan::{ArithOp, BinOp, ContextSource, OpId, Operator, QueryPlan, TestSpec};
 use stats::ExecStats;
-use std::collections::HashSet;
 use value::Value;
 use vamana_flex::{Axis, FlexKey, KeyRange};
 use vamana_mass::axes::{axis_stream, AxisStream, KindFilter, NodeFilter};
 use vamana_mass::{MassStore, NodeEntry, RecordKind};
 
-/// Tuples per batch in the batched pipeline. Large enough to amortize
+/// Tuples per full pull through the pipeline. Large enough to amortize
 /// per-batch dispatch to noise, small enough that a batch of entries
 /// (key bytes included) stays within L1/L2 cache.
 pub const BATCH_SIZE: usize = 256;
@@ -112,20 +111,6 @@ pub fn run_from(
     outer: Option<&NodeEntry>,
     set_semantics: bool,
 ) -> Result<Vec<NodeEntry>> {
-    run_from_mode(env, outer, set_semantics, true)
-}
-
-/// [`run_from`] with an explicit execution mode: `batched` pulls
-/// [`BATCH_SIZE`]-tuple batches through the pipeline, `!batched` pulls
-/// one tuple at a time. Both produce the identical tuple sequence; the
-/// scalar mode exists as the measured baseline and differential oracle
-/// for the batched one.
-pub fn run_from_mode(
-    env: Env<'_, '_>,
-    outer: Option<&NodeEntry>,
-    set_semantics: bool,
-    batched: bool,
-) -> Result<Vec<NodeEntry>> {
     let top = match env.plan.op(env.plan.root()) {
         Operator::Root { child } => *child,
         _ => Some(env.plan.root()),
@@ -134,18 +119,9 @@ pub fn run_from_mode(
         return Ok(Vec::new());
     };
     let started = env.stats.map(|_| std::time::Instant::now());
-    let mut iter = build_iter(env, top, outer)?;
-    let mut out = Vec::new();
-    if batched {
-        while iter.next_batch(env, &mut out, BATCH_SIZE)? > 0 {}
-    } else {
-        while let Some(t) = iter.next(env)? {
-            out.push(t);
-        }
-    }
+    let mut out = drain(env, &mut build_iter(env, top, outer)?)?;
     if set_semantics {
-        out.sort_by(|a, b| a.key.cmp(&b.key));
-        out.dedup_by(|a, b| a.key == b.key);
+        into_document_order(&mut out);
     }
     if let Some(stats) = env.stats {
         // The root operator's actuals are the run's: post-dedup output
@@ -163,7 +139,22 @@ pub fn run_from_mode(
     Ok(out)
 }
 
-/// One operator cursor.
+/// Pulls `iter` to exhaustion, in pipeline order.
+fn drain<'s>(env: Env<'_, 's>, iter: &mut OpIter<'s>) -> Result<Vec<NodeEntry>> {
+    let mut out = Vec::new();
+    while iter.next_batch(env, &mut out, BATCH_SIZE)? > 0 {}
+    Ok(out)
+}
+
+/// Sorts a node-set into document order and drops duplicates, keeping
+/// each node's first occurrence in pipeline order (the sort is stable).
+fn into_document_order(nodes: &mut Vec<NodeEntry>) {
+    nodes.sort_by(|a, b| a.key.cmp(&b.key));
+    nodes.dedup_by(|a, b| a.key == b.key);
+}
+
+/// One operator cursor. Every cursor speaks one protocol,
+/// [`OpIter::next_batch`].
 pub enum OpIter<'s> {
     /// Yields a single anchored context tuple (leaf context source).
     Anchor(Option<NodeEntry>),
@@ -205,10 +196,6 @@ pub fn build_iter<'s>(env: Env<'_, 's>, id: OpId, outer: Option<&NodeEntry>) -> 
             source,
             predicates,
         } => {
-            let ctx_iter = match context {
-                Some(c) => build_iter(env, *c, outer)?,
-                None => OpIter::Anchor(Some(anchor_for(env, *source, outer))),
-            };
             Ok(OpIter::Step(Box::new(StepIter {
                 op: id,
                 axis: *axis,
@@ -216,45 +203,25 @@ pub fn build_iter<'s>(env: Env<'_, 's>, id: OpId, outer: Option<&NodeEntry>) -> 
                 // step is provably empty for every context.
                 filter: env.node_filter(*axis, test),
                 predicates: predicates.clone(),
-                context: ctx_iter,
+                context: Contexts::build(env, *context, *source, outer)?,
                 state: OpState::Initial,
                 stream: None,
-                current_ctx: None,
                 buffer: Vec::new(),
                 buffer_pos: 0,
-                outer: outer.cloned(),
             })))
         }
         Operator::RangeStep {
             context, source, ..
-        } => {
-            let ctx_iter = match context {
-                Some(c) => build_iter(env, *c, outer)?,
-                None => OpIter::Anchor(Some(anchor_for(env, *source, outer))),
-            };
-            Ok(OpIter::ValueStep(Box::new(ValueStepIter {
-                op: id,
-                context: Box::new(ctx_iter),
-                state: OpState::Initial,
-                buffer: Vec::new(),
-                buffer_pos: 0,
-            })))
         }
-        Operator::ValueStep {
+        | Operator::ValueStep {
             context, source, ..
-        } => {
-            let ctx_iter = match context {
-                Some(c) => build_iter(env, *c, outer)?,
-                None => OpIter::Anchor(Some(anchor_for(env, *source, outer))),
-            };
-            Ok(OpIter::ValueStep(Box::new(ValueStepIter {
-                op: id,
-                context: Box::new(ctx_iter),
-                state: OpState::Initial,
-                buffer: Vec::new(),
-                buffer_pos: 0,
-            })))
-        }
+        } => Ok(OpIter::ValueStep(Box::new(ValueStepIter {
+            op: id,
+            context: Contexts::build(env, *context, *source, outer)?,
+            state: OpState::Initial,
+            buffer: Vec::new(),
+            buffer_pos: 0,
+        }))),
         Operator::Union { left, right } => Ok(OpIter::Union(
             id,
             Box::new(build_iter(env, *left, outer)?),
@@ -263,17 +230,10 @@ pub fn build_iter<'s>(env: Env<'_, 's>, id: OpId, outer: Option<&NodeEntry>) -> 
         Operator::Filter { input, predicates } => {
             // Whole-node-set positional filtering: materialize the input
             // in document order (deduplicated), then filter.
-            let mut iter = build_iter(env, *input, outer)?;
-            let mut group = Vec::new();
-            let mut seen = HashSet::new();
-            while let Some(t) = iter.next(env)? {
-                if seen.insert(t.key.clone()) {
-                    group.push(t);
-                }
-            }
-            group.sort_by(|a, b| a.key.cmp(&b.key));
+            let mut group = drain(env, &mut build_iter(env, *input, outer)?)?;
+            into_document_order(&mut group);
             for pred in predicates {
-                group = apply_predicate(env, *pred, group, false, outer)?;
+                group = apply_predicate(env, *pred, group, false)?;
             }
             if let Some(stats) = env.stats {
                 stats.add_invocation(id);
@@ -284,12 +244,12 @@ pub fn build_iter<'s>(env: Env<'_, 's>, id: OpId, outer: Option<&NodeEntry>) -> 
         Operator::Join { op, left, right } => {
             let mut l_iter = build_iter(env, *left, outer)?;
             let mut r_iter = build_iter(env, *right, outer)?;
-            let mut rights = Vec::new();
-            while let Some(t) = r_iter.next(env)? {
-                rights.push(value::node_string_value(env.store, &t)?);
-            }
+            let rights = drain(env, &mut r_iter)?
+                .iter()
+                .map(|t| value::node_string_value(env.store, t))
+                .collect::<Result<Vec<_>>>()?;
             let mut out = Vec::new();
-            while let Some(t) = l_iter.next(env)? {
+            for t in drain(env, &mut l_iter)? {
                 let lv = value::node_string_value(env.store, &t)?;
                 let hit = rights.iter().any(|rv| {
                     let l = Value::Str(lv.clone());
@@ -328,46 +288,10 @@ fn anchor_for(env: Env<'_, '_>, source: ContextSource, outer: Option<&NodeEntry>
 }
 
 impl<'s> OpIter<'s> {
-    /// Pulls the next tuple.
-    pub fn next(&mut self, env: Env<'_, 's>) -> Result<Option<NodeEntry>> {
-        match self {
-            OpIter::Anchor(item) => Ok(item.take()),
-            OpIter::Step(s) => s.next(env),
-            OpIter::ValueStep(s) => s.next(env),
-            OpIter::Fused(f) => f.next(env),
-            OpIter::Union(id, l, r) => {
-                let t = match l.next(env)? {
-                    Some(t) => Some(t),
-                    None => r.next(env)?,
-                };
-                if let Some(stats) = env.stats {
-                    stats.add_invocation(*id);
-                    if t.is_some() {
-                        stats.add_rows(*id, 1);
-                    }
-                }
-                Ok(t)
-            }
-            OpIter::Join(items) => Ok(items.next()),
-            OpIter::View { op, entries, pos } => {
-                let t = entries.get(*pos).cloned();
-                if t.is_some() {
-                    *pos += 1;
-                }
-                if let Some(stats) = env.stats {
-                    stats.add_invocation(*op);
-                    if t.is_some() {
-                        stats.add_rows(*op, 1);
-                    }
-                }
-                Ok(t)
-            }
-        }
-    }
-
     /// Pulls up to `max` tuples into `out`, returning how many were
-    /// appended — the same tuple sequence [`OpIter::next`] would produce,
-    /// chunked. A short (or zero) count means the operator is exhausted.
+    /// appended. A short (or zero) count means the operator is exhausted.
+    /// The concatenated tuple sequence does not depend on the `max` of
+    /// each pull.
     pub fn next_batch(
         &mut self,
         env: Env<'_, 's>,
@@ -384,9 +308,9 @@ impl<'s> OpIter<'s> {
                 }
                 Ok(0)
             }
-            OpIter::Step(s) => s.next_batch(env, out, max),
-            OpIter::ValueStep(s) => s.next_batch(env, out, max),
-            OpIter::Fused(f) => f.next_batch(env, out, max),
+            OpIter::Step(s) => instrumented(env, s.op, || s.next_batch(env, out, max)),
+            OpIter::ValueStep(s) => instrumented(env, s.op, || s.next_batch(env, out, max)),
+            OpIter::Fused(f) => instrumented(env, f.op, || f.next_batch(env, out, max)),
             OpIter::Union(id, l, r) => {
                 // Left stream first; a short left batch means the left
                 // side is exhausted, so top up from the right.
@@ -426,6 +350,66 @@ impl<'s> OpIter<'s> {
     }
 }
 
+/// Runs one pull of operator `op`. Under `EXPLAIN ANALYZE` it credits
+/// the operator with the rows, the wall time and the buffer-pool
+/// probe/pin deltas of the pull — inclusive of the child context pulls
+/// made during it.
+fn instrumented(env: Env<'_, '_>, op: OpId, pull: impl FnOnce() -> Result<usize>) -> Result<usize> {
+    let Some(stats) = env.stats else {
+        return pull();
+    };
+    let (p0, pin0) = env.store.buffer_pool().probe_pin_counts();
+    let t0 = std::time::Instant::now();
+    let got = pull()?;
+    let (p1, pin1) = env.store.buffer_pool().probe_pin_counts();
+    stats.add_invocation(op);
+    stats.add_batch(op);
+    stats.add_rows(op, got as u64);
+    stats.add_nanos(op, t0.elapsed().as_nanos() as u64);
+    stats.add_probe_pins(op, p1.saturating_sub(p0), pin1.saturating_sub(pin0));
+    Ok(got)
+}
+
+/// A step's context input — `GetNextContext()` of Algorithm 2. Contexts
+/// are pulled from the child cursor in batches sized to the caller's
+/// outstanding demand (at most [`BATCH_SIZE`]) and handed out one at a
+/// time, so a `max = 1` pull touches no more contexts than it needs.
+struct Contexts<'s> {
+    iter: OpIter<'s>,
+    /// Pulled but not yet handed out, reversed so each hand-out is a pop.
+    pending: Vec<NodeEntry>,
+}
+
+impl<'s> Contexts<'s> {
+    /// The child cursor of a step, or its leaf anchor when it has none.
+    fn build(
+        env: Env<'_, 's>,
+        context: Option<OpId>,
+        source: ContextSource,
+        outer: Option<&NodeEntry>,
+    ) -> Result<Self> {
+        let iter = match context {
+            Some(c) => build_iter(env, c, outer)?,
+            None => OpIter::Anchor(Some(anchor_for(env, source, outer))),
+        };
+        Ok(Contexts {
+            iter,
+            pending: Vec::new(),
+        })
+    }
+
+    /// The next context, refilling with at most `demand` contexts when
+    /// none is pending; `None` once the child is exhausted.
+    fn pull(&mut self, env: Env<'_, 's>, demand: usize) -> Result<Option<NodeEntry>> {
+        if self.pending.is_empty() {
+            self.iter
+                .next_batch(env, &mut self.pending, demand.clamp(1, BATCH_SIZE))?;
+            self.pending.reverse();
+        }
+        Ok(self.pending.pop())
+    }
+}
+
 /// Cursor for a step operator — Algorithm 1 of the paper.
 pub struct StepIter<'s> {
     /// The plan operator this cursor executes (analyze attribution).
@@ -435,44 +419,26 @@ pub struct StepIter<'s> {
     /// not occur in the store, so the step is provably empty.
     filter: Option<NodeFilter>,
     predicates: Vec<OpId>,
-    context: OpIter<'s>,
+    context: Contexts<'s>,
     /// Paper state machine.
     state: OpState,
     /// Lazy axis stream (fast path: no predicates).
     stream: Option<AxisStream<'s>>,
-    current_ctx: Option<NodeEntry>,
     /// Filtered group (predicate path).
     buffer: Vec<NodeEntry>,
     buffer_pos: usize,
-    outer: Option<NodeEntry>,
 }
 
 impl<'s> StepIter<'s> {
-    /// `GetNextContext()` — Algorithm 2.
-    fn advance_context(&mut self, env: Env<'_, 's>) -> Result<bool> {
-        match self.context.next(env)? {
-            Some(ctx) => {
-                self.current_ctx = Some(ctx);
-                self.state = OpState::Fetching;
-                Ok(true)
-            }
-            None => {
-                self.state = OpState::OutOfTuples;
-                Ok(false)
-            }
-        }
-    }
-
-    fn open_stream(&mut self, env: Env<'_, 's>) -> Result<bool> {
-        let Some(ctx) = self.current_ctx.clone() else {
-            return Ok(false);
-        };
+    /// Opens the axis for context `ctx`: a lazy stream on the fast path,
+    /// or the materialized, predicate-filtered group.
+    fn open_stream(&mut self, env: Env<'_, 's>, ctx: &NodeEntry) -> Result<()> {
+        self.stream = None;
+        self.buffer.clear();
+        self.buffer_pos = 0;
         let Some(filter) = self.filter else {
             // Unknown name: provably empty for this context.
-            self.stream = None;
-            self.buffer.clear();
-            self.buffer_pos = 0;
-            return Ok(true);
+            return Ok(());
         };
         let stream = axis_stream(env.store, &ctx.key, ctx.kind, self.axis, filter)?;
         if self.predicates.is_empty() {
@@ -482,94 +448,21 @@ impl<'s> StepIter<'s> {
             // then filter through each predicate in order.
             let mut group = stream.collect()?;
             for pred in &self.predicates {
-                group = apply_predicate(
-                    env,
-                    *pred,
-                    group,
-                    self.axis.is_reverse(),
-                    self.outer.as_ref(),
-                )?;
+                group = apply_predicate(env, *pred, group, self.axis.is_reverse())?;
             }
             self.buffer = group;
-            self.buffer_pos = 0;
-            self.stream = None;
         }
-        Ok(true)
+        Ok(())
     }
 
-    fn next(&mut self, env: Env<'_, 's>) -> Result<Option<NodeEntry>> {
-        let t = self.next_inner(env)?;
-        if let Some(stats) = env.stats {
-            stats.add_invocation(self.op);
-            if t.is_some() {
-                stats.add_rows(self.op, 1);
-            }
-        }
-        Ok(t)
-    }
-
-    fn next_inner(&mut self, env: Env<'_, 's>) -> Result<Option<NodeEntry>> {
-        loop {
-            match self.state {
-                OpState::OutOfTuples => return Ok(None),
-                OpState::Initial => {
-                    if !self.advance_context(env)? {
-                        return Ok(None);
-                    }
-                    self.open_stream(env)?;
-                }
-                OpState::Fetching => {
-                    if let Some(stream) = &mut self.stream {
-                        if let Some(t) = stream.next()? {
-                            return Ok(Some(t));
-                        }
-                    } else if self.buffer_pos < self.buffer.len() {
-                        let t = self.buffer[self.buffer_pos].clone();
-                        self.buffer_pos += 1;
-                        return Ok(Some(t));
-                    }
-                    // Current context exhausted: pull the next one.
-                    if !self.advance_context(env)? {
-                        return Ok(None);
-                    }
-                    self.open_stream(env)?;
-                }
-            }
-        }
-    }
-
-    /// Batched pull — the paper's INITIAL/FETCHING/OUT_OF_TUPLES machine
-    /// advanced at batch granularity. The fast (no-predicate) path fills
-    /// the batch straight from the axis stream, so page pinning and
-    /// record decoding are amortized in `vamana-mass`; the predicate path
-    /// stays scalar-materialized per context (position()/last() need the
-    /// whole group) and only the copy-out is chunked. Contexts are still
-    /// pulled one at a time, so the tuple sequence is byte-identical to
-    /// [`StepIter::next`]'s. One batch may span several contexts.
+    /// The paper's INITIAL/FETCHING/OUT_OF_TUPLES machine advanced at
+    /// batch granularity. The fast (no-predicate) path fills the batch
+    /// straight from the axis stream, so page pinning and record
+    /// decoding are amortized in `vamana-mass`; the predicate path
+    /// materializes one group per context (position()/last() need the
+    /// whole group) and copies it out in chunks. One batch may span
+    /// several contexts.
     fn next_batch(
-        &mut self,
-        env: Env<'_, 's>,
-        out: &mut Vec<NodeEntry>,
-        max: usize,
-    ) -> Result<usize> {
-        let Some(stats) = env.stats else {
-            return self.next_batch_inner(env, out, max);
-        };
-        // Inclusive attribution at batch granularity: the pool delta and
-        // the clock cover child context pulls made during this batch.
-        let (p0, pin0) = env.store.buffer_pool().probe_pin_counts();
-        let t0 = std::time::Instant::now();
-        let got = self.next_batch_inner(env, out, max)?;
-        let (p1, pin1) = env.store.buffer_pool().probe_pin_counts();
-        stats.add_invocation(self.op);
-        stats.add_batch(self.op);
-        stats.add_rows(self.op, got as u64);
-        stats.add_nanos(self.op, t0.elapsed().as_nanos() as u64);
-        stats.add_probe_pins(self.op, p1.saturating_sub(p0), pin1.saturating_sub(pin0));
-        Ok(got)
-    }
-
-    fn next_batch_inner(
         &mut self,
         env: Env<'_, 's>,
         out: &mut Vec<NodeEntry>,
@@ -578,41 +471,32 @@ impl<'s> StepIter<'s> {
         let start = out.len();
         loop {
             let produced = out.len() - start;
-            if produced >= max {
+            if produced >= max || self.state == OpState::OutOfTuples {
                 return Ok(produced);
             }
-            match self.state {
-                OpState::OutOfTuples => return Ok(produced),
-                OpState::Initial => {
-                    if !self.advance_context(env)? {
-                        return Ok(produced);
-                    }
-                    self.open_stream(env)?;
-                }
-                OpState::Fetching => {
-                    if let Some(stream) = &mut self.stream {
-                        let want = max - produced;
-                        let got = stream.next_batch(out, want)?;
-                        // A full batch may leave more behind; a short one
-                        // cannot (the `next_batch` contract), so the
-                        // context is exhausted without another probe.
-                        if got >= want {
-                            continue;
-                        }
-                    } else if self.buffer_pos < self.buffer.len() {
-                        let take = (self.buffer.len() - self.buffer_pos).min(max - produced);
-                        out.extend_from_slice(
-                            &self.buffer[self.buffer_pos..self.buffer_pos + take],
-                        );
-                        self.buffer_pos += take;
+            if self.state == OpState::Fetching {
+                let want = max - produced;
+                if let Some(stream) = &mut self.stream {
+                    // A full batch may leave more behind; a short one
+                    // cannot (the `next_batch` contract), so the context
+                    // is exhausted without another probe.
+                    if stream.next_batch(out, want)? == want {
                         continue;
                     }
-                    // Current context exhausted: pull the next one.
-                    if !self.advance_context(env)? {
-                        return Ok(out.len() - start);
-                    }
-                    self.open_stream(env)?;
+                } else if self.buffer_pos < self.buffer.len() {
+                    let take = (self.buffer.len() - self.buffer_pos).min(want);
+                    out.extend_from_slice(&self.buffer[self.buffer_pos..self.buffer_pos + take]);
+                    self.buffer_pos += take;
+                    continue;
                 }
+            }
+            // INITIAL, or the current context is exhausted.
+            match self.context.pull(env, max - (out.len() - start))? {
+                Some(ctx) => {
+                    self.state = OpState::Fetching;
+                    self.open_stream(env, &ctx)?;
+                }
+                None => self.state = OpState::OutOfTuples,
             }
         }
     }
@@ -621,66 +505,16 @@ impl<'s> StepIter<'s> {
 /// Cursor for the value-index step (`φ value::'v'`).
 pub struct ValueStepIter<'s> {
     op: OpId,
-    context: Box<OpIter<'s>>,
+    context: Contexts<'s>,
     state: OpState,
     buffer: Vec<NodeEntry>,
     buffer_pos: usize,
 }
 
 impl<'s> ValueStepIter<'s> {
-    fn next(&mut self, env: Env<'_, 's>) -> Result<Option<NodeEntry>> {
-        let t = self.next_inner(env)?;
-        if let Some(stats) = env.stats {
-            stats.add_invocation(self.op);
-            if t.is_some() {
-                stats.add_rows(self.op, 1);
-            }
-        }
-        Ok(t)
-    }
-
-    fn next_inner(&mut self, env: Env<'_, 's>) -> Result<Option<NodeEntry>> {
-        loop {
-            match self.state {
-                OpState::OutOfTuples => return Ok(None),
-                OpState::Initial | OpState::Fetching => {
-                    if self.buffer_pos < self.buffer.len() {
-                        let t = self.buffer[self.buffer_pos].clone();
-                        self.buffer_pos += 1;
-                        return Ok(Some(t));
-                    }
-                    if !self.refill(env)? {
-                        return Ok(None);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Batched pull: drains the current buffer in chunks and refills from
-    /// the next context when it runs dry. Short count means exhausted.
+    /// Drains the current buffer in chunks and refills from the next
+    /// context when it runs dry. Short count means exhausted.
     fn next_batch(
-        &mut self,
-        env: Env<'_, 's>,
-        out: &mut Vec<NodeEntry>,
-        max: usize,
-    ) -> Result<usize> {
-        let Some(stats) = env.stats else {
-            return self.next_batch_inner(env, out, max);
-        };
-        let (p0, pin0) = env.store.buffer_pool().probe_pin_counts();
-        let t0 = std::time::Instant::now();
-        let got = self.next_batch_inner(env, out, max)?;
-        let (p1, pin1) = env.store.buffer_pool().probe_pin_counts();
-        stats.add_invocation(self.op);
-        stats.add_batch(self.op);
-        stats.add_rows(self.op, got as u64);
-        stats.add_nanos(self.op, t0.elapsed().as_nanos() as u64);
-        stats.add_probe_pins(self.op, p1.saturating_sub(p0), pin1.saturating_sub(pin0));
-        Ok(got)
-    }
-
-    fn next_batch_inner(
         &mut self,
         env: Env<'_, 's>,
         out: &mut Vec<NodeEntry>,
@@ -698,19 +532,17 @@ impl<'s> ValueStepIter<'s> {
                 self.buffer_pos += take;
                 continue;
             }
-            if !self.refill(env)? {
-                return Ok(out.len() - start);
-            }
+            self.refill(env, max - produced)?;
         }
     }
 
-    /// Pulls the next context tuple and rebuilds the value-index buffer
-    /// for it. Returns `false` (and flips to OUT_OF_TUPLES) when the
-    /// context stream is exhausted.
-    fn refill(&mut self, env: Env<'_, 's>) -> Result<bool> {
-        let Some(ctx) = self.context.next(env)? else {
+    /// Pulls the next context tuple (at most `demand` buffered) and
+    /// rebuilds the value-index buffer for it; flips to OUT_OF_TUPLES
+    /// when the context stream is exhausted.
+    fn refill(&mut self, env: Env<'_, 's>, demand: usize) -> Result<()> {
+        let Some(ctx) = self.context.pull(env, demand)? else {
             self.state = OpState::OutOfTuples;
-            return Ok(false);
+            return Ok(());
         };
         self.state = OpState::Fetching;
         enum Source {
@@ -774,7 +606,7 @@ impl<'s> ValueStepIter<'s> {
         }
         self.buffer = buffer;
         self.buffer_pos = 0;
-        Ok(true)
+        Ok(())
     }
 }
 
@@ -801,7 +633,6 @@ pub fn apply_predicate(
     pred: OpId,
     group: Vec<NodeEntry>,
     reverse: bool,
-    _outer: Option<&NodeEntry>,
 ) -> Result<Vec<NodeEntry>> {
     let size = group.len();
     let mut out = Vec::with_capacity(size);
@@ -897,7 +728,7 @@ pub fn eval_expr(
                 return Ok(Value::Bool(answer));
             }
             let mut iter = build_iter(env, *path, Some(ctx))?;
-            Ok(Value::Bool(iter.next(env)?.is_some()))
+            Ok(Value::Bool(iter.next_batch(env, &mut Vec::new(), 1)? > 0))
         }
         Operator::Binary { op, left, right } => match op {
             BinOp::And => {
@@ -956,15 +787,8 @@ pub fn eval_expr(
         | Operator::FusedScan { .. } => {
             // A path in expression position: collect its node-set,
             // deduplicated in document order.
-            let mut iter = build_iter(env, id, Some(ctx))?;
-            let mut nodes = Vec::new();
-            let mut seen = HashSet::new();
-            while let Some(t) = iter.next(env)? {
-                if seen.insert(t.key.clone()) {
-                    nodes.push(t);
-                }
-            }
-            nodes.sort_by(|a, b| a.key.cmp(&b.key));
+            let mut nodes = drain(env, &mut build_iter(env, id, Some(ctx))?)?;
+            into_document_order(&mut nodes);
             Ok(Value::Nodes(nodes))
         }
         Operator::Root { .. } => Err(EngineError::Unsupported(

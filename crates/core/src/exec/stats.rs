@@ -6,13 +6,11 @@
 //! zero-cost-when-disabled contract) and `Some` only under
 //! `Engine::analyze`, where cursors record what they actually did:
 //!
-//! - `rows` — tuples produced by the operator. Identical across the
-//!   scalar and batched pipelines (they produce the same tuple
-//!   sequence), which is what the DOM-oracle tests pin down.
-//! - `invocations` — cursor pulls (`next` calls / `next_batch` calls;
-//!   for predicate operators, context tuples tested).
-//! - `batches` — `next_batch` calls that reached the operator. Mode
-//!   dependent by nature (scalar mode reports 0).
+//! - `rows` — tuples produced by the operator. Deterministic run to
+//!   run, which is what the DOM-oracle tests pin down.
+//! - `invocations` — cursor pulls (`next_batch` calls; for predicate
+//!   operators, context tuples tested).
+//! - `batches` — `next_batch` calls that reached the operator.
 //! - `nanos` — inclusive wall time attributed at batch granularity
 //!   (a batched pull's clock includes the child pulls it triggers).
 //! - `probes` / `pins` — buffer-pool page requests and batched page

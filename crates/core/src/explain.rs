@@ -15,10 +15,9 @@
 //! sides zero is a perfect prediction (1.0); exactly one side zero is an
 //! unbounded miss (∞).
 //!
-//! [`Analysis::render`] is deliberately **mode stable**: it prints only
-//! quantities that are identical across the scalar and batched
-//! pipelines (estimates, actual rows, q-errors) — never batch counts or
-//! timings, which vary run to run. The golden-file tests pin
+//! [`Analysis::render`] is deliberately **run stable**: it prints only
+//! quantities that are identical run to run (estimates, actual rows,
+//! q-errors) — never timings or buffer traffic, which vary. The golden-file tests pin
 //! this down. Timings and buffer traffic appear in
 //! [`Analysis::render_json`] and the [`crate::QueryProfile`].
 
@@ -141,9 +140,9 @@ impl Analysis {
         out
     }
 
-    /// Renders the annotated tree plus the misestimation summary. Mode
-    /// stable: identical output whether the run was scalar or batched
-    /// (see the module docs).
+    /// Renders the annotated tree plus the misestimation summary. Run
+    /// stable: identical output for every run of the same plan (see the
+    /// module docs).
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(

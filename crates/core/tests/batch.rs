@@ -1,9 +1,12 @@
-//! Batch-boundary edge cases for the batched execution pipeline.
+//! Batch-boundary edge cases for the pipeline.
 //!
-//! The batched pipeline must be observably identical to the scalar one:
-//! same nodes, same pipeline order, no duplicates or gaps at batch
+//! A stream's tuple sequence must not depend on how it is pulled: same
+//! nodes, same pipeline order, no duplicates or gaps at batch
 //! boundaries, regardless of where a batch ends relative to pages,
-//! contexts, predicates, or a consumer-imposed row limit.
+//! contexts, predicates, or a consumer-imposed row limit. The reference
+//! is the single-tuple drain, which crosses a pull boundary after every
+//! tuple; where the document makes it easy, the reference itself is
+//! checked against counts and values worked out from the document.
 
 use vamana_core::exec::BATCH_SIZE;
 use vamana_core::{DocId, Engine, MassStore, NodeEntry};
@@ -14,23 +17,39 @@ fn engine_from(xml: &str) -> Engine {
     Engine::new(store)
 }
 
-/// Full scalar-mode drain of `xpath` in pipeline order.
-fn scalar_drain(engine: &mut Engine, xpath: &str) -> Vec<NodeEntry> {
-    engine.options_mut().batched = false;
+/// `<r><e>0</e>…<e>{n-1}</e></r>`.
+fn numbered(n: usize) -> String {
+    let mut xml = String::from("<r>");
+    for i in 0..n {
+        xml.push_str(&format!("<e>{i}</e>"));
+    }
+    xml.push_str("</r>");
+    xml
+}
+
+/// Drain of `xpath` in pipeline order, one tuple per pull.
+fn single_tuple_drain(engine: &Engine, xpath: &str) -> Vec<NodeEntry> {
     let mut out = Vec::new();
     let mut stream = engine.stream(DocId(0), xpath).unwrap();
-    while let Some(t) = stream.next().unwrap() {
-        out.push(t);
-    }
-    engine.options_mut().batched = true;
+    while stream.next_batch(&mut out, 1).unwrap() > 0 {}
     out
+}
+
+/// [`single_tuple_drain`] of `//e` over [`numbered`]`(n)`, checked to be
+/// the `n` elements in document order.
+fn numbered_reference(engine: &Engine, n: usize) -> Vec<NodeEntry> {
+    let expected = single_tuple_drain(engine, "//e");
+    let want: Vec<String> = (0..n).map(|i| i.to_string()).collect();
+    assert_eq!(engine.string_values(&expected).unwrap(), want);
+    expected
 }
 
 #[test]
 fn short_batch_then_exhausted() {
     // Fewer matches than `max`: one short batch, then a clean zero.
-    let mut e = engine_from("<r><a/><a/><a/></r>");
-    let expected = scalar_drain(&mut e, "//a");
+    let e = engine_from("<r><a/><a/><a/></r>");
+    let expected = single_tuple_drain(&e, "//a");
+    assert_eq!(expected.len(), 3);
     let mut stream = e.stream(DocId(0), "//a").unwrap();
     let mut out = Vec::new();
     assert_eq!(stream.next_batch(&mut out, BATCH_SIZE).unwrap(), 3);
@@ -46,16 +65,10 @@ fn short_batch_then_exhausted() {
 #[test]
 fn small_max_pulls_have_no_gaps_or_duplicates() {
     // A `max` far below the result size cuts every batch mid-stream; the
-    // concatenation must still be the exact scalar sequence.
-    let mut xml = String::from("<r>");
-    for i in 0..1000 {
-        xml.push_str(&format!("<e>{i}</e>"));
-    }
-    xml.push_str("</r>");
-    let mut e = engine_from(&xml);
-    let expected = scalar_drain(&mut e, "//e");
-    assert_eq!(expected.len(), 1000);
-    for max in [1, 7, 10, 256] {
+    // concatenation must still be the exact reference sequence.
+    let e = engine_from(&numbered(1000));
+    let expected = numbered_reference(&e, 1000);
+    for max in [2, 7, 10, 256] {
         let mut stream = e.stream(DocId(0), "//e").unwrap();
         let mut out = Vec::new();
         loop {
@@ -74,13 +87,8 @@ fn limit_cuts_a_batch_midway() {
     // A consumer that stops after `limit` rows (the server's LIMIT, the
     // shell's .limit) must see exactly the first `limit` tuples of the
     // full sequence, even when the limit lands inside a batch.
-    let mut xml = String::from("<r>");
-    for i in 0..600 {
-        xml.push_str(&format!("<e>{i}</e>"));
-    }
-    xml.push_str("</r>");
-    let mut e = engine_from(&xml);
-    let expected = scalar_drain(&mut e, "//e");
+    let e = engine_from(&numbered(600));
+    let expected = numbered_reference(&e, 600);
     for limit in [1, 10, BATCH_SIZE - 1, BATCH_SIZE + 1, 599] {
         let mut stream = e.stream(DocId(0), "//e").unwrap();
         let mut out = Vec::new();
@@ -106,8 +114,9 @@ fn predicate_inner_path_crosses_batch_boundaries() {
     // Predicates re-anchor their inner context path at every tuple under
     // test (paper §V-B). With more tuples than one batch holds, inner
     // paths run for tuples on both sides of each boundary.
+    let n = 2 * BATCH_SIZE + 37;
     let mut xml = String::from("<r>");
-    for i in 0..(2 * BATCH_SIZE + 37) {
+    for i in 0..n {
         if i % 3 == 0 {
             xml.push_str("<p><x/><v>keep</v></p>");
         } else {
@@ -115,35 +124,36 @@ fn predicate_inner_path_crosses_batch_boundaries() {
         }
     }
     xml.push_str("</r>");
-    let mut e = engine_from(&xml);
-    for xpath in ["//p[x]", "//p[x]/v", "//p[not(x)]"] {
-        let expected = scalar_drain(&mut e, xpath);
-        assert!(!expected.is_empty(), "{xpath} must match something");
+    let e = engine_from(&xml);
+    let kept = n.div_ceil(3);
+    for (xpath, rows) in [
+        ("//p[x]", kept),
+        ("//p[x]/v", kept),
+        ("//p[not(x)]", n - kept),
+    ] {
+        let expected = single_tuple_drain(&e, xpath);
+        assert_eq!(expected.len(), rows, "{xpath}");
         let mut stream = e.stream(DocId(0), xpath).unwrap();
         let mut out = Vec::new();
         while stream.next_batch(&mut out, BATCH_SIZE).unwrap() > 0 {}
         assert_eq!(out, expected, "{xpath}");
         // And through the materializing API with set semantics.
-        e.options_mut().batched = true;
-        let batched = e.query(xpath).unwrap();
-        e.options_mut().batched = false;
-        let scalar = e.query(xpath).unwrap();
-        e.options_mut().batched = true;
-        assert_eq!(batched, scalar, "{xpath} under set semantics");
+        assert_eq!(
+            e.query(xpath).unwrap(),
+            expected,
+            "{xpath} under set semantics"
+        );
     }
+    let v = e.query("//p[x]/v").unwrap();
+    assert!(e.string_values(&v).unwrap().iter().all(|s| s == "keep"));
 }
 
 #[test]
 fn interleaved_scalar_and_batch_pulls_preserve_order() {
     // Mixing next() and next_batch() on one stream must not reorder,
     // duplicate, or drop tuples (next() buffers a batch internally).
-    let mut xml = String::from("<r>");
-    for i in 0..700 {
-        xml.push_str(&format!("<e>{i}</e>"));
-    }
-    xml.push_str("</r>");
-    let mut e = engine_from(&xml);
-    let expected = scalar_drain(&mut e, "//e");
+    let e = engine_from(&numbered(700));
+    let expected = numbered_reference(&e, 700);
     let mut stream = e.stream(DocId(0), "//e").unwrap();
     let mut out = Vec::new();
     // 3 scalar pulls, then a batch, then scalar again, then drain.
@@ -157,20 +167,24 @@ fn interleaved_scalar_and_batch_pulls_preserve_order() {
 }
 
 #[test]
-fn batched_matches_scalar_on_unions_and_value_steps() {
+fn unions_and_value_steps_are_pull_size_invariant() {
     let mut xml = String::from("<r>");
     for i in 0..400 {
         xml.push_str(&format!("<a n='{i}'>{}</a><b>{i}</b>", i % 10));
     }
     xml.push_str("</r>");
-    let mut e = engine_from(&xml);
-    for xpath in ["//a | //b", "//a[.='5']", "//a[@n='37']", "//b[. > 395]"] {
-        e.options_mut().batched = true;
-        let batched = e.query(xpath).unwrap();
-        e.options_mut().batched = false;
-        let scalar = e.query(xpath).unwrap();
-        e.options_mut().batched = true;
-        assert_eq!(batched, scalar, "{xpath}");
-        assert!(!batched.is_empty(), "{xpath} must match something");
+    let e = engine_from(&xml);
+    for (xpath, rows) in [
+        ("//a | //b", 800),
+        ("//a[.='5']", 40),
+        ("//a[@n='37']", 1),
+        ("//b[. > 395]", 4),
+    ] {
+        let mut reference = single_tuple_drain(&e, xpath);
+        reference.sort_by(|a, b| a.key.cmp(&b.key));
+        reference.dedup_by(|a, b| a.key == b.key);
+        let got = e.query(xpath).unwrap();
+        assert_eq!(got.len(), rows, "{xpath}");
+        assert_eq!(got, reference, "{xpath}");
     }
 }

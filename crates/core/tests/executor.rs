@@ -169,16 +169,15 @@ fn operator_states_drive_a_manual_pull() {
         _ => unreachable!(),
     };
     let mut iter = exec::build_iter(env, top, None).unwrap();
-    let mut n = 0;
-    while iter.next(env).unwrap().is_some() {
-        n += 1;
-    }
-    assert_eq!(n, 3);
-    assert!(
-        iter.next(env).unwrap().is_none(),
+    let mut out = Vec::new();
+    while iter.next_batch(env, &mut out, 1).unwrap() > 0 {}
+    assert_eq!(out.len(), 3);
+    assert_eq!(
+        iter.next_batch(env, &mut out, exec::BATCH_SIZE).unwrap(),
+        0,
         "exhausted iterator must stay exhausted"
     );
-    assert!(iter.next(env).unwrap().is_none());
+    assert_eq!(iter.next_batch(env, &mut out, 1).unwrap(), 0);
 }
 
 #[test]

@@ -5,8 +5,8 @@
 //! child/descendant chains with existential predicates over arbitrary
 //! generated documents, an engine with fusion *forced* (every
 //! extractable candidate accepted, bypassing the cost race) must return
-//! exactly what the plain pipeline returns — batched and scalar, with
-//! and without the cost gate. The generators are shared in spirit with
+//! exactly what the plain pipeline returns, with and without the cost
+//! gate. The generators are shared in spirit with
 //! `views_prop.rs`: same alphabet, same document tape, so fused scans
 //! see deep recursion, repeated names, and empty matches.
 
@@ -109,9 +109,9 @@ fn engine_for(xml: &str, options: EngineOptions) -> Engine {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// Forced fusion is invisible: batched-fused, scalar-fused, and
-    /// cost-gated-fused runs all equal the plain scalar pipeline on
-    /// random forward chains over random documents.
+    /// Forced fusion is invisible: forced and cost-gated fused runs
+    /// both equal the plain pipeline on random forward chains over
+    /// random documents.
     #[test]
     fn fused_execution_matches_the_plain_pipeline(
         steps in steps_strategy(),
@@ -120,15 +120,11 @@ proptest! {
         let xpath = render(&steps);
         let xml = build_doc(&ops);
         let doc = DocId(0);
-        // Oracle: scalar pipeline, nothing fused.
-        let oracle = engine_for(&xml, EngineOptions {
-            batched: false,
-            ..EngineOptions::default()
-        });
+        // Oracle: nothing fused.
+        let oracle = engine_for(&xml, EngineOptions::default());
         let expected = oracle.query_doc(doc, &xpath).unwrap();
-        for (batched, force) in [(true, true), (false, true), (true, false)] {
+        for force in [true, false] {
             let subject = engine_for(&xml, EngineOptions {
-                batched,
                 fuse: true,
                 fuse_force: force,
                 ..EngineOptions::default()
@@ -137,9 +133,8 @@ proptest! {
             prop_assert_eq!(
                 &got,
                 &expected,
-                "fusion changed {} (batched={}, forced={})",
+                "fusion changed {} (forced={})",
                 xpath,
-                batched,
                 force
             );
         }

@@ -13,7 +13,7 @@
 //! 2. **Rewrite exactness** — with views enabled (greedy acceptance, no
 //!    admission delay), materializing a view and then answering a
 //!    contained query must return exactly what a view-less engine
-//!    returns, in both batched and scalar execution modes.
+//!    returns.
 
 use std::collections::HashSet;
 
@@ -197,13 +197,12 @@ proptest! {
     }
 
     /// Materializing a view and answering a contained query through the
-    /// rewrite gives exactly the view-less answer — batched and scalar.
+    /// rewrite gives exactly the view-less answer.
     #[test]
     fn view_rewrites_match_direct_evaluation(
         q_steps in steps_strategy(),
         masks in proptest::collection::vec((any::<bool>(), any::<bool>(), any::<bool>()), 3),
         ops in proptest::collection::vec((any::<u8>(), any::<u8>()), 0..40),
-        batched in any::<bool>(),
     ) {
         let v_xpath = render(&generalize(&q_steps, &masks));
         let q_xpath = render(&q_steps);
@@ -211,14 +210,10 @@ proptest! {
             return Ok(());
         }
         let xml = build_doc(&ops);
-        // Oracle: scalar pipeline, no views.
-        let oracle = engine_for(&xml, EngineOptions {
-            batched: false,
-            ..EngineOptions::default()
-        });
+        // Oracle: no views.
+        let oracle = engine_for(&xml, EngineOptions::default());
         // Subject: greedy view acceptance, immediate admission.
         let subject = engine_for(&xml, EngineOptions {
-            batched,
             views: true,
             view_admit_after: 1,
             view_greedy: true,
@@ -231,10 +226,9 @@ proptest! {
         prop_assert_eq!(
             got,
             expected,
-            "rewrite of {} against view {} changed the result (batched={})",
+            "rewrite of {} against view {} changed the result",
             q_xpath,
-            v_xpath,
-            batched
+            v_xpath
         );
     }
 }

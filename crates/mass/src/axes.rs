@@ -210,127 +210,13 @@ enum Inner<'a> {
     },
 }
 
-/// Lazy stream of nodes along an axis. Pull with [`AxisStream::next`].
+/// Lazy stream of nodes along an axis. Pull with
+/// [`AxisStream::next_batch`].
 pub struct AxisStream<'a> {
     inner: Inner<'a>,
 }
 
 impl<'a> AxisStream<'a> {
-    /// Pulls the next matching node in document order.
-    #[allow(clippy::should_implement_trait)] // fallible, so not Iterator
-    pub fn next(&mut self) -> Result<Option<NodeEntry>> {
-        match &mut self.inner {
-            Inner::Empty => Ok(None),
-            Inner::Keys {
-                store,
-                keys,
-                filter,
-            } => {
-                for key in keys.by_ref() {
-                    if let Some(entry) = store.get_entry(&key)? {
-                        if filter.matches_entry(&entry) {
-                            return Ok(Some(entry));
-                        }
-                    }
-                }
-                Ok(None)
-            }
-            Inner::KeysIndexOnly {
-                keys,
-                list,
-                kind,
-                name,
-            } => {
-                for key in keys.by_ref() {
-                    if list.contains(key.as_flat()) {
-                        return Ok(Some(NodeEntry {
-                            key,
-                            kind: *kind,
-                            name: Some(*name),
-                        }));
-                    }
-                }
-                Ok(None)
-            }
-            Inner::NameList {
-                keys,
-                pos,
-                kind,
-                name,
-                verify,
-            } => {
-                while *pos < keys.len() {
-                    let flat = &keys[*pos];
-                    *pos += 1;
-                    let key = FlexKey::from_flat(flat.clone());
-                    if verify.ok(&key) {
-                        return Ok(Some(NodeEntry {
-                            key,
-                            kind: *kind,
-                            name: *name,
-                        }));
-                    }
-                }
-                Ok(None)
-            }
-            Inner::Scan {
-                cursor,
-                filter,
-                skip_attrs,
-                not_ancestor_of,
-            } => {
-                while let Some(entry) = cursor.next_entry()? {
-                    if *skip_attrs && entry.kind == RecordKind::Attribute {
-                        continue;
-                    }
-                    if let Some(ctx) = not_ancestor_of {
-                        if entry.key.is_ancestor_of(ctx) {
-                            continue;
-                        }
-                    }
-                    if filter.matches_entry(&entry) {
-                        return Ok(Some(entry));
-                    }
-                }
-                Ok(None)
-            }
-            Inner::JumpScan {
-                cursor,
-                filter,
-                skip_attrs,
-            } => {
-                loop {
-                    let Some(entry) = cursor.next_entry()? else {
-                        return Ok(None);
-                    };
-                    // Jump past this node's subtree so only siblings at
-                    // the scan level are visited.
-                    if let Some(upper) = entry.key.subtree_upper() {
-                        cursor.seek(&upper);
-                    }
-                    if *skip_attrs && entry.kind == RecordKind::Attribute {
-                        continue;
-                    }
-                    if filter.matches_entry(&entry) {
-                        return Ok(Some(entry));
-                    }
-                }
-            }
-            Inner::AttrScan { cursor, filter } => {
-                while let Some(entry) = cursor.next_entry()? {
-                    if entry.kind != RecordKind::Attribute {
-                        return Ok(None);
-                    }
-                    if filter.matches_entry(&entry) {
-                        return Ok(Some(entry));
-                    }
-                }
-                Ok(None)
-            }
-            Inner::Materialized { items } => Ok(items.next()),
-        }
-    }
-
     /// Pulls up to `max` matching nodes into `out`, returning how many
     /// were appended. A short (or zero) count means the stream is
     /// exhausted — callers may treat it as end-of-stream without another
@@ -340,13 +226,61 @@ impl<'a> AxisStream<'a> {
     /// ([`MassCursor::next_batch`]); sibling-jump scans resolve in-page
     /// jumps by binary search over the pinned records
     /// (`MassCursor::next_batch_jump`); name-index iteration fills the
-    /// batch in a tight loop over the borrowed key slice. Point-lookup
-    /// modes fall back to the scalar pull per entry — they still amortize
-    /// the caller's per-tuple dispatch.
+    /// batch in a tight loop over the borrowed key slice; point-lookup
+    /// modes resolve one precomputed key per candidate.
     pub fn next_batch(&mut self, out: &mut Vec<NodeEntry>, max: usize) -> Result<usize> {
         let start = out.len();
         match &mut self.inner {
             Inner::Empty => {}
+            Inner::Keys {
+                store,
+                keys,
+                filter,
+            } => {
+                while out.len() - start < max {
+                    let Some(key) = keys.next() else { break };
+                    if let Some(entry) = store.get_entry(&key)? {
+                        if filter.matches_entry(&entry) {
+                            out.push(entry);
+                        }
+                    }
+                }
+            }
+            Inner::KeysIndexOnly {
+                keys,
+                list,
+                kind,
+                name,
+            } => out.extend(
+                keys.by_ref()
+                    .filter(|key| list.contains(key.as_flat()))
+                    .map(|key| NodeEntry {
+                        key,
+                        kind: *kind,
+                        name: Some(*name),
+                    })
+                    .take(max),
+            ),
+            Inner::NameList {
+                keys,
+                pos,
+                kind,
+                name,
+                verify,
+            } => {
+                while *pos < keys.len() && out.len() - start < max {
+                    let flat = &keys[*pos];
+                    *pos += 1;
+                    let key = FlexKey::from_flat(flat.clone());
+                    if verify.ok(&key) {
+                        out.push(NodeEntry {
+                            key,
+                            kind: *kind,
+                            name: *name,
+                        });
+                    }
+                }
+            }
             Inner::Scan {
                 cursor,
                 filter,
@@ -368,56 +302,27 @@ impl<'a> AxisStream<'a> {
             } => {
                 cursor.next_batch_jump(filter, *skip_attrs, out, max)?;
             }
-            Inner::NameList {
-                keys,
-                pos,
-                kind,
-                name,
-                verify,
-            } => {
-                while *pos < keys.len() && out.len() - start < max {
-                    let flat = &keys[*pos];
-                    *pos += 1;
-                    let key = FlexKey::from_flat(flat.clone());
-                    if verify.ok(&key) {
-                        out.push(NodeEntry {
-                            key,
-                            kind: *kind,
-                            name: *name,
-                        });
-                    }
+            Inner::AttrScan { cursor, filter } => {
+                // A short count means the scan met the first
+                // non-attribute record (or the range end): drop the
+                // cursor and its page pin.
+                if cursor.next_batch_attributes(filter, out, max)? < max {
+                    self.inner = Inner::Empty;
                 }
             }
             Inner::Materialized { items } => {
                 out.extend(items.by_ref().take(max));
             }
-            // Keys / KeysIndexOnly / AttrScan: scalar pulls.
-            // When the scalar pull reports exhaustion the stream flips to
-            // `Empty`, so the short-count contract above holds even for
-            // modes whose scalar `next` is not idempotent at end-of-stream
-            // (AttrScan stops at the first non-attribute record).
-            _ => {
-                while out.len() - start < max {
-                    match self.next()? {
-                        Some(e) => out.push(e),
-                        None => {
-                            self.inner = Inner::Empty;
-                            break;
-                        }
-                    }
-                }
-            }
         }
         Ok(out.len() - start)
     }
 
-    /// Drains the stream into a vector (tests, reverse-axis
-    /// materialization in the executor).
+    /// Drains the stream into a vector (tests, predicate-group
+    /// materialization in the executor). One unbounded pull drains it:
+    /// a count short of `usize::MAX` means the stream is exhausted.
     pub fn collect(mut self) -> Result<Vec<NodeEntry>> {
         let mut out = Vec::new();
-        while let Some(e) = self.next()? {
-            out.push(e);
-        }
+        self.next_batch(&mut out, usize::MAX)?;
         Ok(out)
     }
 
@@ -631,20 +536,27 @@ fn ranged_stream<'a>(
 /// Attribute axis: attributes cluster directly after the element record,
 /// so a short bounded scan suffices; it stops at the first non-attribute.
 fn attribute_stream<'a>(store: &'a MassStore, ctx: &FlexKey, filter: NodeFilter) -> AxisStream<'a> {
-    // A name/`*` test on this axis selects attributes (its principal node
-    // kind); an explicit kind test like `text()` is honored and matches
-    // nothing, since the axis only contains attributes.
+    let cursor = MassCursor::new(store, KeyRange::descendants(ctx));
+    AxisStream {
+        inner: Inner::AttrScan {
+            cursor,
+            filter: principal_attribute(filter),
+        },
+    }
+}
+
+/// The node test on an axis whose principal node kind is the attribute
+/// (`attribute`, `namespace`): a name/`*` test selects attributes; an
+/// explicit kind test like `text()` is honored and matches nothing,
+/// since the axis only contains attributes.
+fn principal_attribute(filter: NodeFilter) -> NodeFilter {
     let kind = match filter.kind {
         KindFilter::Element | KindFilter::Any => KindFilter::Attribute,
         other => other,
     };
-    let filter = NodeFilter {
+    NodeFilter {
         kind,
         name: filter.name,
-    };
-    let cursor = MassCursor::new(store, KeyRange::descendants(ctx));
-    AxisStream {
-        inner: Inner::AttrScan { cursor, filter },
     }
 }
 
@@ -655,6 +567,7 @@ fn namespace_stream<'a>(
     ctx: &FlexKey,
     filter: NodeFilter,
 ) -> Result<AxisStream<'a>> {
+    let filter = principal_attribute(filter);
     let mut seen: Vec<NameId> = Vec::new();
     let mut items: Vec<NodeEntry> = Vec::new();
     let mut cur = Some(ctx.clone());
@@ -662,7 +575,7 @@ fn namespace_stream<'a>(
         if key.is_root() {
             break;
         }
-        let mut attrs = attribute_stream(
+        let attrs = attribute_stream(
             store,
             &key,
             NodeFilter {
@@ -670,12 +583,12 @@ fn namespace_stream<'a>(
                 name: None,
             },
         );
-        while let Some(a) = attrs.next()? {
+        for a in attrs.collect()? {
             let Some(name_id) = a.name else { continue };
             let name = store.names().resolve(name_id);
             if (name == "xmlns" || name.starts_with("xmlns:")) && !seen.contains(&name_id) {
                 seen.push(name_id);
-                if filter.name.is_none_or(|n| n == name_id) {
+                if filter.matches_entry(&a) {
                     items.push(a);
                 }
             }

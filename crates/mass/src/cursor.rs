@@ -109,23 +109,6 @@ impl<'a> MassCursor<'a> {
         Ok(Some(rec))
     }
 
-    /// Like [`MassCursor::next`], but returns a lightweight
-    /// [`crate::axes::NodeEntry`] without cloning the record's value —
-    /// the hot path for axis scans, which never look at values.
-    pub fn next_entry(&mut self) -> Result<Option<crate::axes::NodeEntry>> {
-        if !self.position()? {
-            return Ok(None);
-        }
-        let rec = &self.page.as_ref().expect("positioned").records()[self.rec_pos];
-        let entry = crate::axes::NodeEntry {
-            key: rec.key.clone(),
-            kind: rec.kind,
-            name: rec.name,
-        };
-        self.rec_pos += 1;
-        Ok(Some(entry))
-    }
-
     /// Pulls up to `max` records as [`crate::axes::NodeEntry`]s into
     /// `out`, pinning each page once and decoding every qualifying record
     /// on it in one pass. Returns the number of entries appended; a short
@@ -141,7 +124,7 @@ impl<'a> MassCursor<'a> {
         out: &mut Vec<crate::axes::NodeEntry>,
         max: usize,
     ) -> Result<usize> {
-        self.batch_scan(out, max, |_| true)
+        self.batch_scan(out, max, |_| Some(true))
     }
 
     /// Like [`MassCursor::next_batch`], but with a caller-supplied
@@ -154,11 +137,11 @@ impl<'a> MassCursor<'a> {
     /// location step.
     pub fn next_batch_where(
         &mut self,
-        keep: impl FnMut(&NodeRecord) -> bool,
+        mut keep: impl FnMut(&NodeRecord) -> bool,
         out: &mut Vec<crate::axes::NodeEntry>,
         max: usize,
     ) -> Result<usize> {
-        self.batch_scan(out, max, keep)
+        self.batch_scan(out, max, |rec| Some(keep(rec)))
     }
 
     /// Like [`MassCursor::next_batch`], but applies the axis-level record
@@ -174,14 +157,28 @@ impl<'a> MassCursor<'a> {
     ) -> Result<usize> {
         self.batch_scan(out, max, |rec| {
             if skip_attrs && rec.kind == crate::record::RecordKind::Attribute {
-                return false;
+                return Some(false);
             }
             if let Some(ctx) = not_ancestor_of {
                 if rec.key.is_ancestor_of(ctx) {
-                    return false;
+                    return Some(false);
                 }
             }
-            filter.matches_parts(rec.kind, rec.name)
+            Some(filter.matches_parts(rec.kind, rec.name))
+        })
+    }
+
+    /// Batched attribute scan: attributes cluster directly after their
+    /// element, so the scan ends for good at the first non-attribute
+    /// record — the backing of the attribute axis.
+    pub(crate) fn next_batch_attributes(
+        &mut self,
+        filter: &crate::axes::NodeFilter,
+        out: &mut Vec<crate::axes::NodeEntry>,
+        max: usize,
+    ) -> Result<usize> {
+        self.batch_scan(out, max, |rec| {
+            (rec.kind == crate::record::RecordKind::Attribute).then(|| filter.matches(rec))
         })
     }
 
@@ -190,7 +187,7 @@ impl<'a> MassCursor<'a> {
     /// (the MASS sibling jump), so only nodes at the scan level are
     /// visited — the batched backing of the `JumpScan` axis mode.
     ///
-    /// The win over repeated scalar jumps is that a jump whose target
+    /// The win over one seek per jump is that a jump whose target
     /// lands on the *same* page is resolved by binary search over the
     /// already-pinned records; only jumps that leave the page pay for a
     /// buffer-pool lookup. Sibling runs cluster on few pages, so most
@@ -280,13 +277,14 @@ impl<'a> MassCursor<'a> {
     }
 
     /// Shared batched scan: walks whole pinned pages, appending entries
-    /// for records that pass `keep`, until `max` entries were produced or
-    /// the range is exhausted.
+    /// for records where `keep` says `Some(true)`, until `max` entries
+    /// were produced or the range is exhausted. `keep` returning `None`
+    /// ends the scan for good at that record.
     fn batch_scan(
         &mut self,
         out: &mut Vec<crate::axes::NodeEntry>,
         max: usize,
-        mut keep: impl FnMut(&NodeRecord) -> bool,
+        mut keep: impl FnMut(&NodeRecord) -> Option<bool>,
     ) -> Result<usize> {
         let start = out.len();
         while out.len() - start < max {
@@ -307,21 +305,31 @@ impl<'a> MassCursor<'a> {
                 None => records.len(),
             };
             let mut i = self.rec_pos;
+            let mut stopped = false;
             while i < end && out.len() - start < max {
                 let rec = &records[i];
                 i += 1;
-                if keep(rec) {
-                    out.push(crate::axes::NodeEntry {
+                match keep(rec) {
+                    Some(true) => out.push(crate::axes::NodeEntry {
                         key: rec.key.clone(),
                         kind: rec.kind,
                         name: rec.name,
-                    });
+                    }),
+                    Some(false) => {}
+                    None => {
+                        stopped = true;
+                        break;
+                    }
                 }
             }
             let scanned = (i - self.rec_pos) as u64;
             self.rec_pos = i;
             if scanned > 0 {
                 self.store.pool.note_batch(page_id, scanned);
+            }
+            if stopped {
+                self.done = true;
+                break;
             }
             if i >= end {
                 if end < records.len() {

@@ -23,6 +23,16 @@ pub enum MassError {
     InvalidUpdate(String),
     /// Sibling label space was exhausted during an insert.
     Label(vamana_flex::LabelError),
+    /// A record does not fit even an empty page: its FLEX key, which
+    /// grows with nesting depth, is too long to store.
+    RecordTooLarge {
+        /// Bytes of the record's flat FLEX key.
+        key_len: usize,
+        /// Bytes the whole record needs on a page.
+        record_len: usize,
+        /// Payload bytes of one page.
+        capacity: usize,
+    },
 }
 
 impl fmt::Display for MassError {
@@ -36,6 +46,15 @@ impl fmt::Display for MassError {
             MassError::KeyNotFound => write!(f, "key not found"),
             MassError::InvalidUpdate(r) => write!(f, "invalid update: {r}"),
             MassError::Label(e) => write!(f, "label allocation failed: {e}"),
+            MassError::RecordTooLarge {
+                key_len,
+                record_len,
+                capacity,
+            } => write!(
+                f,
+                "record of {record_len} bytes (FLEX key {key_len} bytes) exceeds the \
+                 page capacity of {capacity} bytes: the document nests too deep to store"
+            ),
         }
     }
 }

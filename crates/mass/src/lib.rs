@@ -37,7 +37,8 @@
 //! let name = store.name_id("name").unwrap();
 //! let mut stream = axis_stream(&store, &doc_key, RecordKind::Document,
 //!                              Axis::Descendant, NodeFilter::element(name)).unwrap();
-//! assert!(stream.next().unwrap().is_some());
+//! let mut names = Vec::new();
+//! assert_eq!(stream.next_batch(&mut names, 16).unwrap(), 1);
 //! ```
 
 #![deny(missing_docs)]

@@ -230,13 +230,7 @@ impl<'a> PageSink<'a> {
     }
 
     fn emit(&mut self, rec: NodeRecord, value: Option<String>) -> Result<()> {
-        if !self.page.fits_record(&rec) {
-            if self.page.is_empty() {
-                return Err(MassError::InvalidUpdate(format!(
-                    "record of {} bytes exceeds page capacity (key too deep?)",
-                    rec.encoded_len()
-                )));
-            }
+        if !self.page.fits_record(&rec) && !self.page.is_empty() {
             self.write_page()?;
         }
         self.store.index_record(&rec, value.as_deref(), true);
@@ -289,6 +283,34 @@ mod tests {
         let (_, info) = s.document_by_name("test").unwrap();
         assert_eq!(info.doc_key.level(), 1);
         assert!(s.contains(&info.doc_key).unwrap());
+    }
+
+    #[test]
+    fn too_deep_to_store_is_a_typed_error() {
+        // Each level adds a label plus a terminator to the FLEX key, so
+        // 4,500 levels need a key longer than a page holds. Bulk load
+        // and the insert path both report it through `Page`.
+        let deep = |d: usize| format!("{}{}", "<a>".repeat(d), "</a>".repeat(d));
+        let capacity = crate::page::PAGE_CAPACITY;
+        let too_large = |e: MassError| match e {
+            MassError::RecordTooLarge {
+                key_len,
+                record_len,
+                capacity: c,
+            } => key_len < record_len && record_len > c && c == capacity,
+            _ => false,
+        };
+        let mut s = MassStore::open_memory();
+        let err = s.load_xml("deep", &deep(4500)).unwrap_err();
+        assert!(err.to_string().contains("nests too deep"), "{err}");
+        assert!(too_large(err));
+        let mut s = store_with(&deep(4000));
+        let (_, info) = s.document_by_name("test").unwrap();
+        let mut key = info.doc_key.clone();
+        while let Some(child) = s.last_child_key(&key).unwrap() {
+            key = child;
+        }
+        assert!(too_large(s.append_fragment(&key, &deep(500)).unwrap_err()));
     }
 
     #[test]

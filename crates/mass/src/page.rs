@@ -134,6 +134,22 @@ impl Page {
         self.encoded + self.insert_delta(rec, pos) <= PAGE_CAPACITY
     }
 
+    /// Fails with [`MassError::RecordTooLarge`] when `rec` would not fit
+    /// even an empty page of this page's format. Only a FLEX key too
+    /// long to store (a document nested too deep) causes that; any other
+    /// record fits once its page is split.
+    pub fn check_fits_alone(&self, rec: &NodeRecord) -> Result<()> {
+        let alone = self.cost_after(rec, None);
+        if alone > PAGE_CAPACITY {
+            return Err(MassError::RecordTooLarge {
+                key_len: rec.key.as_flat().len(),
+                record_len: alone,
+                capacity: PAGE_CAPACITY,
+            });
+        }
+        Ok(())
+    }
+
     /// First key on the page (flat encoding).
     pub fn first_key(&self) -> Option<&[u8]> {
         self.records.first().map(|r| r.key.as_flat())
@@ -159,6 +175,7 @@ impl Page {
     pub fn append(&mut self, rec: NodeRecord) -> Result<()> {
         let len = self.cost_after(&rec, self.records.len().checked_sub(1));
         if self.encoded + len > PAGE_CAPACITY {
+            self.check_fits_alone(&rec)?;
             return Err(MassError::InvalidUpdate("page full".into()));
         }
         debug_assert!(
@@ -170,17 +187,14 @@ impl Page {
         Ok(())
     }
 
-    /// Inserts a record at its sorted position (update path). The caller
-    /// splits the page first if it does not fit.
+    /// Inserts a record at its sorted position (update path). Like
+    /// [`Page::remove`], this may push the payload past capacity — check
+    /// [`Page::overflowed`] and split before write-out.
     pub fn insert(&mut self, rec: NodeRecord) -> Result<()> {
         match self.find(rec.key.as_flat()) {
             Ok(_) => Err(MassError::InvalidUpdate("duplicate key".into())),
             Err(pos) => {
-                let delta = self.insert_delta(&rec, pos);
-                if self.encoded + delta > PAGE_CAPACITY {
-                    return Err(MassError::InvalidUpdate("page full".into()));
-                }
-                self.encoded += delta;
+                self.encoded += self.insert_delta(&rec, pos);
                 self.records.insert(pos, rec);
                 Ok(())
             }
@@ -230,7 +244,10 @@ impl Page {
     pub fn split(&mut self) -> Page {
         let target = self.encoded / 2;
         let mut acc = 0usize;
-        let mut cut = self.records.len();
+        // When a large last record keeps the running total below the
+        // target, the last record alone makes the upper half — so any
+        // page of two or more records splits into two non-empty halves.
+        let mut cut = self.records.len().saturating_sub(1).max(1);
         for (i, r) in self.records.iter().enumerate() {
             acc += self.cost_after(r, i.checked_sub(1));
             if acc >= target && i + 1 < self.records.len() {

@@ -772,29 +772,10 @@ impl MassStore {
         };
         let page_id = self.index[pos].1;
         let mut page = (*self.pool.get(page_id)?).clone();
-        if page.fits_record(&rec) {
-            page.insert(rec)?;
-            self.put_data_page(page_id, page)?;
-        } else {
-            let mut upper = page.split();
-            let upper_first = upper
-                .first_key()
-                .ok_or_else(|| MassError::InvalidUpdate("split produced empty page".into()))?
-                .to_vec();
-            if flat.as_slice() < upper_first.as_slice() {
-                page.insert(rec)?;
-            } else {
-                upper.insert(rec)?;
-            }
-            let new_id = self.allocate_page()?;
-            // Write the new upper page before rewriting the lower one: a
-            // crash between the two leaves duplicated records (the old
-            // image plus the upper copy), which recovery repairs, rather
-            // than losing the upper half outright.
-            self.put_data_page(new_id, upper)?;
-            self.put_data_page(page_id, page)?;
-            self.index.insert(pos + 1, (upper_first, new_id));
-        }
+        // No split makes room for a record larger than a page.
+        page.check_fits_alone(&rec)?;
+        page.insert(rec)?;
+        self.put_page_at(pos, page)?;
         Ok(())
     }
 

@@ -219,6 +219,28 @@ fn query_errors_are_reported_not_fatal() {
 }
 
 #[test]
+fn over_deep_xpath_is_an_error_not_an_abort() {
+    // 50,000 nested parentheses once overflowed a worker's stack, which
+    // aborts the whole process; now the parser's nesting limit answers
+    // it with an ERR line.
+    let handle = spawn_server(ServerConfig::default());
+    let mut hostile = Client::connect(&handle);
+    let deep = format!("{}1{}", "(".repeat(50_000), ")".repeat(50_000));
+    for verb in ["QUERY", "EVAL", "EXPLAIN", "ANALYZE"] {
+        let response = hostile.round_trip(&format!("{verb} {deep}"));
+        assert!(
+            response[0].starts_with("ERR query") && response[0].contains("nests deeper"),
+            "{verb}: {response:?}"
+        );
+    }
+    // The server is still up: a normal query on a second connection.
+    let mut client = Client::connect(&handle);
+    let response = client.round_trip("QUERY //province");
+    assert!(response.last().unwrap().starts_with("OK "), "{response:?}");
+    handle.stop();
+}
+
+#[test]
 fn explain_and_analyze_report_plans_over_the_wire() {
     let handle = spawn_server(ServerConfig::default());
     let mut client = Client::connect(&handle);

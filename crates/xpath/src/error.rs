@@ -2,9 +2,20 @@
 
 use std::fmt;
 
+/// What a [`ParseError`] rejects.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ParseErrorKind {
+    /// The text is not a well-formed expression.
+    Syntax,
+    /// The expression nests deeper than [`crate::parser::MAX_NESTING`].
+    TooDeep,
+}
+
 /// A lexing or parsing failure with its character position.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
+    /// What was rejected.
+    pub kind: ParseErrorKind,
     /// Human-readable description.
     pub message: String,
     /// Byte offset into the expression text.
@@ -12,10 +23,23 @@ pub struct ParseError {
 }
 
 impl ParseError {
-    /// Creates an error at `offset`.
+    /// Creates a syntax error at `offset`.
     pub fn new(message: impl Into<String>, offset: usize) -> Self {
         ParseError {
+            kind: ParseErrorKind::Syntax,
             message: message.into(),
+            offset,
+        }
+    }
+
+    /// The nesting limit was broken at `offset`.
+    pub fn too_deep(offset: usize) -> Self {
+        ParseError {
+            kind: ParseErrorKind::TooDeep,
+            message: format!(
+                "expression nests deeper than {} levels",
+                crate::parser::MAX_NESTING
+            ),
             offset,
         }
     }

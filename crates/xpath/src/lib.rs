@@ -22,5 +22,5 @@ pub mod lexer;
 pub mod parser;
 
 pub use ast::{ArithOp, EqOp, Expr, LocationPath, NodeTest, RelOp, Step};
-pub use error::ParseError;
-pub use parser::parse;
+pub use error::{ParseError, ParseErrorKind};
+pub use parser::{parse, MAX_NESTING};

@@ -22,6 +22,17 @@ use crate::error::ParseError;
 use crate::lexer::{tokenize, Token, TokenKind};
 use vamana_flex::Axis;
 
+/// The deepest expression nesting the parser accepts. Every construct
+/// that nests the syntax tree one level counts: a parenthesized
+/// expression, predicate or function argument, a unary minus, each
+/// further operand of a binary or union chain, and each further step of
+/// a location path (the plan nests one operator per step). Bounding the
+/// tree bounds the recursion of every later stage — plan builder,
+/// clean-up, rewrite rules, evaluation — so an over-deep query gets a
+/// [`crate::ParseErrorKind::TooDeep`] error instead of overflowing a thread's
+/// stack.
+pub const MAX_NESTING: usize = 64;
+
 /// Parses an XPath 1.0 expression.
 pub fn parse(input: &str) -> Result<Expr, ParseError> {
     let tokens = tokenize(input)?;
@@ -29,6 +40,7 @@ pub fn parse(input: &str) -> Result<Expr, ParseError> {
         tokens,
         pos: 0,
         len: input.len(),
+        depth: 0,
     };
     let expr = p.expr()?;
     if let Some(t) = p.peek() {
@@ -44,9 +56,22 @@ struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     len: usize,
+    /// Syntax-tree nesting at the current position (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser {
+    /// Enters one more level of nesting. Callers restore `depth` once
+    /// the nested construct is parsed; an error abandons the parse, so
+    /// it needs no restore.
+    fn descend(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(ParseError::too_deep(self.offset()));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
     fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos)
     }
@@ -91,28 +116,41 @@ impl Parser {
     // ---- expression precedence chain ----------------------------------
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.or_expr()
+        let mark = self.depth;
+        self.descend()?;
+        let expr = self.or_expr()?;
+        self.depth = mark;
+        Ok(expr)
     }
 
+    // Each binary loop nests the tree one level deeper per operand.
+
     fn or_expr(&mut self) -> Result<Expr, ParseError> {
+        let mark = self.depth;
         let mut left = self.and_expr()?;
         while self.eat(&TokenKind::Or) {
+            self.descend()?;
             let right = self.and_expr()?;
             left = Expr::Or(Box::new(left), Box::new(right));
         }
+        self.depth = mark;
         Ok(left)
     }
 
     fn and_expr(&mut self) -> Result<Expr, ParseError> {
+        let mark = self.depth;
         let mut left = self.eq_expr()?;
         while self.eat(&TokenKind::And) {
+            self.descend()?;
             let right = self.eq_expr()?;
             left = Expr::And(Box::new(left), Box::new(right));
         }
+        self.depth = mark;
         Ok(left)
     }
 
     fn eq_expr(&mut self) -> Result<Expr, ParseError> {
+        let mark = self.depth;
         let mut left = self.rel_expr()?;
         loop {
             let op = match self.peek_kind() {
@@ -121,13 +159,16 @@ impl Parser {
                 _ => break,
             };
             self.bump();
+            self.descend()?;
             let right = self.rel_expr()?;
             left = Expr::Equality(op, Box::new(left), Box::new(right));
         }
+        self.depth = mark;
         Ok(left)
     }
 
     fn rel_expr(&mut self) -> Result<Expr, ParseError> {
+        let mark = self.depth;
         let mut left = self.add_expr()?;
         loop {
             let op = match self.peek_kind() {
@@ -138,13 +179,16 @@ impl Parser {
                 _ => break,
             };
             self.bump();
+            self.descend()?;
             let right = self.add_expr()?;
             left = Expr::Relational(op, Box::new(left), Box::new(right));
         }
+        self.depth = mark;
         Ok(left)
     }
 
     fn add_expr(&mut self) -> Result<Expr, ParseError> {
+        let mark = self.depth;
         let mut left = self.mul_expr()?;
         loop {
             let op = match self.peek_kind() {
@@ -153,13 +197,16 @@ impl Parser {
                 _ => break,
             };
             self.bump();
+            self.descend()?;
             let right = self.mul_expr()?;
             left = Expr::Arithmetic(op, Box::new(left), Box::new(right));
         }
+        self.depth = mark;
         Ok(left)
     }
 
     fn mul_expr(&mut self) -> Result<Expr, ParseError> {
+        let mark = self.depth;
         let mut left = self.unary_expr()?;
         loop {
             let op = match self.peek_kind() {
@@ -169,26 +216,34 @@ impl Parser {
                 _ => break,
             };
             self.bump();
+            self.descend()?;
             let right = self.unary_expr()?;
             left = Expr::Arithmetic(op, Box::new(left), Box::new(right));
         }
+        self.depth = mark;
         Ok(left)
     }
 
     fn unary_expr(&mut self) -> Result<Expr, ParseError> {
         if self.eat(&TokenKind::Minus) {
+            let mark = self.depth;
+            self.descend()?;
             let inner = self.unary_expr()?;
+            self.depth = mark;
             return Ok(Expr::Neg(Box::new(inner)));
         }
         self.union_expr()
     }
 
     fn union_expr(&mut self) -> Result<Expr, ParseError> {
+        let mark = self.depth;
         let mut left = self.path_expr()?;
         while self.eat(&TokenKind::Pipe) {
+            self.descend()?;
             let right = self.path_expr()?;
             left = Expr::Union(Box::new(left), Box::new(right));
         }
+        self.depth = mark;
         Ok(left)
     }
 
@@ -328,11 +383,13 @@ impl Parser {
     /// Parses `Step (('/'|'//') Step)*`, prepending a
     /// `descendant-or-self::node()` step when `leading_double` is set.
     fn relative_path(&mut self, leading_double: bool) -> Result<LocationPath, ParseError> {
+        let mark = self.depth;
         let mut steps = Vec::new();
         if leading_double {
             steps.push(Step::new(Axis::DescendantOrSelf, NodeTest::Node));
         }
         loop {
+            self.descend()?;
             steps.push(self.step()?);
             if self.eat(&TokenKind::Slash) {
                 continue;
@@ -343,6 +400,7 @@ impl Parser {
             }
             break;
         }
+        self.depth = mark;
         Ok(LocationPath {
             absolute: false,
             steps,
@@ -422,6 +480,7 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::ParseErrorKind;
 
     fn path(input: &str) -> LocationPath {
         match parse(input).unwrap() {
@@ -641,6 +700,17 @@ mod tests {
         assert!(parse("sideways::a").is_err());
         assert!(parse("//a]").is_err());
         assert!(parse("1 +").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_typed_error() {
+        let parens = |k: usize| format!("{}1{}", "(".repeat(k), ")".repeat(k));
+        // The top-level expression is one level; each parenthesis adds one.
+        assert_eq!(parse(&parens(MAX_NESTING - 1)).unwrap(), Expr::Number(1.0));
+        let err = parse(&parens(MAX_NESTING)).unwrap_err();
+        assert_eq!(err.kind, ParseErrorKind::TooDeep);
+        assert_eq!(err.offset, MAX_NESTING, "points just past the `(` too many");
+        assert_eq!(parse("1 +").unwrap_err().kind, ParseErrorKind::Syntax);
     }
 
     #[test]
